@@ -7,6 +7,7 @@ failed to converge.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import random
 import sys
@@ -15,7 +16,7 @@ from contextlib import contextmanager
 from . import analytic, experiments
 from .estimators import ConvergenceError, bfs_correct, mhrw_correct, rw_correct
 from .generate import configuration_model, degree_sequence_from_distribution, rewire_to_assortativity
-from .graph import GraphFormatError, RAW, load_edge_list, stats_row
+from .graph import GraphFormatError, RAW, degree_distribution, load_edge_list, stats_row
 from .samplers import trace_from_csv, trace_to_csv
 from .experiments import ConfigError
 
@@ -47,19 +48,23 @@ def build_parser() -> argparse.ArgumentParser:
         prog="crawlbias",
         description="Measure, predict, and undo the degree bias of graph crawls.")
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--rng-seed", type=int, default=0, help="master seed (default 0)")
     common.add_argument("--out", default="-", help="output file, '-' for stdout (default)")
+    seeded = argparse.ArgumentParser(add_help=False, parents=[common])
+    seeded.add_argument("--rng-seed", type=int, default=0, help="master seed (default 0)")
+    configured = argparse.ArgumentParser(add_help=False, parents=[common])
+    configured.add_argument("--rng-seed", type=int, default=None,
+                            help="master seed (default: the config's seed)")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("stats", parents=[common],
+    p = sub.add_parser("stats", parents=[seeded],
                        help="size, moments, and assortativity of an edge list")
     p.add_argument("edgelist", help="whitespace separated edge list file")
     p.add_argument("--raw", action="store_true",
                    help="keep self loops, duplicate edges, and small components")
     p.set_defaults(func=cmd_stats)
 
-    p = sub.add_parser("generate", parents=[common],
+    p = sub.add_parser("generate", parents=[seeded],
                        help="write a random graph with a prescribed degree distribution")
     p.add_argument("--pk", required=True, help=PK_HELP)
     p.add_argument("--nodes", type=int, required=True)
@@ -67,7 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="rewire toward this degree correlation after generating")
     p.set_defaults(func=cmd_generate)
 
-    p = sub.add_parser("sample", parents=[common],
+    p = sub.add_parser("sample", parents=[seeded],
                        help="run one crawl and write its trace as CSV")
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--edgelist", help="crawl this edge list file")
@@ -84,12 +89,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--raw", action="store_true")
     p.set_defaults(func=cmd_sample)
 
-    p = sub.add_parser("curves", parents=[common],
+    p = sub.add_parser("curves", parents=[configured],
                        help="run a replicated experiment from a JSON config")
     p.add_argument("--config", required=True)
     p.set_defaults(func=cmd_curves)
 
-    p = sub.add_parser("correct", parents=[common],
+    p = sub.add_parser("correct", parents=[seeded],
                        help="recover unbiased statistics from a trace CSV")
     p.add_argument("--trace", required=True)
     p.add_argument("--f", type=float, default=None,
@@ -97,7 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=["bfs", "rw", "mhrw"], default="bfs")
     p.set_defaults(func=cmd_correct)
 
-    p = sub.add_parser("compare", parents=[common],
+    p = sub.add_parser("compare", parents=[configured],
                        help="RMSE of neighborhood estimators vs corrected traversal")
     p.add_argument("--config", required=True)
     p.set_defaults(func=cmd_compare)
@@ -165,17 +170,23 @@ def cmd_sample(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_curves(args: argparse.Namespace) -> int:
+def _load_config(args: argparse.Namespace) -> experiments.ExperimentConfig:
     cfg = experiments.load_config(args.config)
-    cfg.master_seed = args.rng_seed if args.rng_seed != 0 else cfg.master_seed
+    if args.rng_seed is not None:
+        cfg.master_seed = args.rng_seed
+    return cfg
+
+
+def cmd_curves(args: argparse.Namespace) -> int:
+    cfg = _load_config(args)
     meta = [cfg.metadata_line()]
     if cfg.mode == "analytic":
-        model = cfg.source.model()
-        if model is None:
-            g = experiments._build_graph(cfg.source, random.Random(cfg.master_seed))
-            from .graph import degree_distribution
-            model = degree_distribution(g)
-        rows = analytic.curve_rows(model, cfg.f_grid)
+        # nothing is simulated, so a generated source keeps its continuous law
+        if cfg.source.kind == "generate":
+            law = experiments._parse_pk_maybe_json(cfg.source.pk)
+        else:
+            law = degree_distribution(load_edge_list(cfg.source.path))
+        rows = analytic.curve_rows(law, cfg.f_grid)
         cols = ["f", "t", "mean_q", "q_k_json"]
     elif cfg.mode == "bias":
         rows = experiments.run_bias_curves(cfg)
@@ -198,7 +209,7 @@ def cmd_correct(args: argparse.Namespace) -> int:
     trace = trace_from_csv(args.trace)
     if args.method == "bfs":
         f_real = args.f if args.f is not None else trace.coverage
-        if f_real is None:
+        if math.isnan(f_real):  # the trace carries no f= metadata
             raise ConfigError("bfs correction needs --f or a trace with coverage metadata")
         report = bfs_correct(trace, f_real)
     elif args.method == "rw":
@@ -221,12 +232,11 @@ def cmd_correct(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    cfg = experiments.load_config(args.config)
-    cfg.master_seed = args.rng_seed if args.rng_seed != 0 else cfg.master_seed
+    cfg = _load_config(args)
     rows = experiments.run_compare(cfg)
-    cols = ["method", "mean_estimate", "rmse", "replicas", "diag_iterations", "diag_residual"]
     with _open_out(args.out) as out:
-        experiments.write_rows_csv(rows, cols, out, metadata=[cfg.metadata_line()])
+        experiments.write_rows_csv(rows, experiments.COMPARE_COLUMNS, out,
+                                   metadata=[cfg.metadata_line()])
     return 0
 
 

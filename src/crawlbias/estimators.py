@@ -4,9 +4,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import IO, Mapping, Sequence
+from typing import Sequence
 
-from .analytic import _inclusion, f_of_t, t_of_f
+from .analytic import _inclusion, f_of_t
 from .graph import DegreeDistribution, Graph, ball
 from .samplers import SampleTrace, bfs
 
@@ -111,8 +111,7 @@ def bfs_correct(trace: SampleTrace, f_real: float, x: Sequence[float] | None = N
     corrected distribution p_hat(t) must predict the observed coverage,
     f(p_hat(t), t) = f_real. That residual is negative near t = 0 and equals
     1 - f_real at t = 1, so a sign-changing bracket always exists and
-    bisection locates t*. (A damped fixed-point fallback covers the defensive
-    case of a missing bracket.) Records are then weighted by
+    bisection locates t*. Records are then weighted by
     1 / (1 - (1-t*)^k_v) and averaged as a ratio estimator.
     """
     if trace.with_replacement:
@@ -128,46 +127,20 @@ def bfs_correct(trace: SampleTrace, f_real: float, x: Sequence[float] | None = N
     def residual(t: float) -> float:
         return f_of_t(bfs_correct_at_t(q_hat, t), t) - f_real
 
-    iterations = 0
-    t_star = None
-    res_star = None
-
-    r_hi = residual(1.0)
-    iterations += 1
-    if abs(r_hi) <= tol:
-        t_star, res_star = 1.0, r_hi
-    elif r_hi > 0.0:
-        lo, hi = 0.0, 1.0  # residual(0+) = -f_real < 0 <= residual(1)
-        while iterations < max_iter:
-            iterations += 1
-            mid = 0.5 * (lo + hi)
-            r = residual(mid)
-            if abs(r) <= tol:
-                t_star, res_star = mid, r
-                break
-            if r < 0.0:
-                lo = mid
-            else:
-                hi = mid
-        else:
+    t_star, res_star = 1.0, residual(1.0)
+    iterations = 1
+    lo, hi = 0.0, 1.0  # residual(0+) = -f_real < 0 <= residual(1) = 1 - f_real
+    while abs(res_star) > tol:
+        if iterations >= max_iter:
             raise ConvergenceError(f"no t with |f residual| <= {tol} after {max_iter} iterations",
                                    iterations, residual(0.5 * (lo + hi)))
-    else:
-        # no sign change (cannot occur for traces free of zero degrees);
-        # damped fixed point on t <- t + 0.5 * (t_of_f(p_hat(t), f_real) - t)
-        t = 0.5
-        r = r_hi
-        while iterations < max_iter:
-            iterations += 1
-            p_hat = bfs_correct_at_t(q_hat, t)
-            t = t + 0.5 * (t_of_f(p_hat, min(f_real, 1.0 - p_hat.get(0))) - t)
-            r = residual(t)
-            if abs(r) <= tol:
-                t_star, res_star = t, r
-                break
+        iterations += 1
+        t_star = 0.5 * (lo + hi)
+        res_star = residual(t_star)
+        if res_star < 0.0:
+            lo = t_star
         else:
-            raise ConvergenceError(f"fixed point did not reach |f residual| <= {tol}",
-                                   iterations, r)
+            hi = t_star
 
     p_hat = bfs_correct_at_t(q_hat, t_star)
     xs = _resolve_x(trace, x)
@@ -351,20 +324,3 @@ def rmse_compare(g: Graph, x: Sequence[float], replicas: int, rng: random.Random
             "diag_residual": max(d[1] for d in dd) if dd else "",
         })
     return rows
-
-
-def report_rows_to_csv(rows: Sequence[Mapping[str, object]], out: IO[str],
-                       metadata: Sequence[str] = ()) -> None:
-    """CSV export for rmse_compare-style rows."""
-    for line in metadata:
-        out.write(f"# {line}\n")
-    cols = ["method", "mean_estimate", "rmse", "replicas", "diag_iterations", "diag_residual"]
-    out.write(",".join(cols) + "\n")
-    for row in rows:
-        out.write(",".join(_fmt(row.get(c, "")) for c in cols) + "\n")
-
-
-def _fmt(v: object) -> str:
-    if isinstance(v, float):
-        return f"{v:.12g}"
-    return str(v)

@@ -7,13 +7,14 @@ import hashlib
 import json
 import random
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import IO, Callable, Mapping, Sequence
 
 from . import analytic
 from .estimators import ConvergenceError, NeighborhoodScheme, bfs_correct, rmse_compare, rw_correct
 from .generate import configuration_model, degree_sequence_from_distribution, rewire_to_assortativity
-from .graph import DegreeDistribution, Graph, degree_distribution, largest_component_nodes, load_edge_list
+from .graph import (DegreeDistribution, Graph, assortativity, degree_distribution,
+                    largest_component_nodes, load_edge_list)
 from .samplers import (FIFO, SampleTrace, assign_stub_indices, bfs, dfs, forest_fire, mhrw,
                        random_walk, snowball, stub_level_traversal, weighted_without_replacement)
 
@@ -96,6 +97,7 @@ class TechniqueSpec:
         if isinstance(obj, str):
             return cls(obj)
         if isinstance(obj, Mapping):
+            _check_keys(obj, ("name", "p", "names"), "technique entry")
             return cls(obj.get("name", ""), p=obj.get("p"), names=obj.get("names"))
         raise ConfigError(f"bad technique entry {obj!r}")
 
@@ -118,9 +120,6 @@ class GraphSource:
         else:
             raise ConfigError(f"unknown graph source {self.kind!r}")
 
-    def model(self) -> DegreeDistribution | None:
-        return parse_pk_spec(self.pk) if self.kind == "generate" else None
-
 
 @dataclass
 class ExperimentConfig:
@@ -131,7 +130,6 @@ class ExperimentConfig:
     f_grid: list[float]
     replicas: int
     master_seed: int
-    out_dir: str | None = None
     workers: int = 1
     mode: str = "bias"           # bias | correction | compare | assortativity | analytic
     assortativity_targets: list[float] = field(default_factory=list)
@@ -152,20 +150,21 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, doc: Mapping) -> "ExperimentConfig":
-        if not isinstance(doc, Mapping):
-            raise ConfigError("config must be a JSON object")
+        _check_keys(doc, _CONFIG_KEYS, "config")
         graph = doc.get("graph")
         if not isinstance(graph, Mapping):
             raise ConfigError("config needs a graph section")
+        _check_keys(graph, ("generate", "file"), "graph section")
+        if len(graph) != 1:
+            raise ConfigError("graph section needs exactly one of 'generate' or 'file'")
         if "generate" in graph:
             gen = graph["generate"]
+            _check_keys(gen, ("pk", "nodes", "assortativity"), "graph.generate")
             source = GraphSource("generate", pk=_pk_to_str(gen.get("pk")),
                                  nodes=int(gen.get("nodes", 0)),
                                  target_assortativity=gen.get("assortativity"))
-        elif "file" in graph:
-            source = GraphSource("file", path=str(graph["file"]))
         else:
-            raise ConfigError("graph section needs either 'generate' or 'file'")
+            source = GraphSource("file", path=str(graph["file"]))
         techniques = [TechniqueSpec.from_json(t) for t in doc.get("techniques", [])]
         return cls(
             source=source,
@@ -173,7 +172,6 @@ class ExperimentConfig:
             f_grid=[float(f) for f in doc.get("f_grid", [])],
             replicas=int(doc.get("replicas", 1)),
             master_seed=int(doc.get("seed", 0)),
-            out_dir=doc.get("out_dir"),
             workers=int(doc.get("workers", 1)),
             mode=str(doc.get("mode", "bias")),
             assortativity_targets=[float(r) for r in doc.get("assortativity_targets", [])],
@@ -193,6 +191,20 @@ class ExperimentConfig:
             "mode": self.mode,
         }
         return "config " + json.dumps(doc, sort_keys=True)
+
+
+_CONFIG_KEYS = ("graph", "techniques", "f_grid", "replicas", "seed", "workers", "mode",
+                "assortativity_targets", "depth", "rewire_tolerance")
+
+
+def _check_keys(obj: object, known: Sequence[str], where: str) -> None:
+    """A typo in a key must fail, not run silently with the default."""
+    if not isinstance(obj, Mapping):
+        raise ConfigError(f"{where} must be a JSON object")
+    unknown = sorted(set(obj) - set(known))
+    if unknown:
+        raise ConfigError(f"unknown key(s) in {where}: {', '.join(map(repr, unknown))}; "
+                          f"known keys: {', '.join(known)}")
 
 
 def _pk_to_str(pk: object) -> str:
@@ -257,12 +269,73 @@ def run_technique(g: Graph, component: Sequence[int], tech: TechniqueSpec,
     return trace
 
 
-def _bias_replica(args: tuple) -> tuple[int, dict[str, list[float]], dict[str, int]]:
-    cfg, replica, shared_graph = args
-    g = shared_graph
-    if g is None:
-        g = _build_graph(cfg.source, random.Random(derive_seed(cfg.master_seed, replica, "graph")))
-    component = sorted(largest_component_nodes(g))
+# --- one replica pipeline ------------------------------------------------------
+#
+# A set-up is a graph plus its sorted largest component, where crawls start. A
+# file source has one set-up, shared by every replica; a generated source has
+# none shared, and each replica builds its graph from its own "graph" seed.
+
+Setup = tuple[Graph, list[int]]
+
+
+def _setup(g: Graph) -> Setup:
+    return g, sorted(largest_component_nodes(g))
+
+
+def _shared_setup(cfg: ExperimentConfig) -> Setup | None:
+    return _setup(load_edge_list(cfg.source.path)) if cfg.source.kind == "file" else None
+
+
+def _replica_setup(cfg: ExperimentConfig, replica: int, shared: Setup | None) -> Setup:
+    if shared is not None:
+        return shared
+    return _setup(_build_graph(cfg.source,
+                               random.Random(derive_seed(cfg.master_seed, replica, "graph"))))
+
+
+def _reference_law(cfg: ExperimentConfig, shared: Setup | None) -> DegreeDistribution:
+    """The degree law the replicas realize, behind analytic_mean, rw_mean and true_mean.
+
+    A generated graph follows the rounded degree sequence of pk (rewiring keeps
+    every degree), not the continuous pk; a file graph follows its own degrees.
+    """
+    if cfg.source.kind == "file":
+        return degree_distribution(shared[0])
+    pk = _parse_pk_maybe_json(cfg.source.pk)
+    return DegreeDistribution.from_sequence(degree_sequence_from_distribution(pk, cfg.source.nodes))
+
+
+# set by the pool initializer, in pool workers only
+_worker: tuple[Callable, Setup | None] | None = None
+
+
+def _init_worker(fn: Callable, shared: Setup | None) -> None:
+    global _worker
+    _worker = (fn, shared)
+
+
+def _run_in_worker(job: tuple[ExperimentConfig, int]) -> object:
+    fn, shared = _worker
+    return fn(*job, shared)
+
+
+def _map_replicas(fn: Callable, cfg: ExperimentConfig, shared: Setup | None) -> list:
+    """[fn(cfg, replica, shared) for every replica], in replica order.
+
+    With workers > 1 the replicas run in one process pool. The shared set-up
+    reaches each worker once, through the pool initializer, so a job carries
+    only (cfg, replica); the result does not depend on the worker count.
+    """
+    if cfg.workers == 1:
+        return [fn(cfg, r, shared) for r in range(cfg.replicas)]
+    with ProcessPoolExecutor(max_workers=cfg.workers, initializer=_init_worker,
+                             initargs=(fn, shared)) as pool:
+        return list(pool.map(_run_in_worker, [(cfg, r) for r in range(cfg.replicas)]))
+
+
+def _bias_replica(cfg: ExperimentConfig, replica: int,
+                  shared: Setup | None) -> tuple[dict[str, list[float]], dict[str, int]]:
+    g, component = _replica_setup(cfg, replica, shared)
     n = g.node_count
     budgets = {f: max(1, round(f * n)) for f in cfg.f_grid}
     max_budget = max(budgets.values())
@@ -281,33 +354,20 @@ def _bias_replica(args: tuple) -> tuple[int, dict[str, list[float]], dict[str, i
             row.append(sum(trace.degrees[:m]) / m)
         means[tech.tag] = row
         short[tech.tag] = shortfall
-    return replica, means, short
+    return means, short
 
 
-def run_bias_curves(cfg: ExperimentConfig) -> list[dict[str, object]]:
-    """Mean sampled degree against coverage, per technique, with the
-    analytic curve, the stationary walk level, and the true mean alongside."""
-    if not cfg.techniques:
-        raise ConfigError("bias curves need at least one technique")
-    shared = None
-    if cfg.source.kind == "file":
-        shared = _build_graph(cfg.source, random.Random(derive_seed(cfg.master_seed, 0, "graph")))
-    model = cfg.source.model() if cfg.source.kind == "generate" else degree_distribution(shared)
-
-    jobs = [(cfg, r, shared) for r in range(cfg.replicas)]
-    if cfg.workers > 1:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            results = list(pool.map(_bias_replica, jobs))
-    else:
-        results = [_bias_replica(job) for job in jobs]
-    results.sort(key=lambda item: item[0])  # aggregation independent of completion order
-
-    rw_mean = analytic.rw_expected(model)[1]
-    true_mean = model.mean()
+def _bias_rows(cfg: ExperimentConfig, shared: Setup | None,
+               law: DegreeDistribution) -> list[dict[str, object]]:
+    """Mean sampled degree per (technique, f) over the replicas, with the
+    reference curve, the stationary walk level and the true mean of law."""
+    results = _map_replicas(_bias_replica, cfg, shared)
+    rw_mean = analytic.rw_expected(law)[1]
+    true_mean = law.mean()
     rows = []
     for tech in cfg.techniques:
-        per_f = list(zip(*(means[tech.tag] for _, means, _ in results)))
-        flagged = sum(short[tech.tag] > 0 for _, _, short in results)
+        per_f = list(zip(*(means[tech.tag] for means, _ in results)))
+        flagged = sum(short[tech.tag] > 0 for _, short in results)
         for f, vals in zip(cfg.f_grid, per_f):
             mean = sum(vals) / len(vals)
             var = sum((v - mean) ** 2 for v in vals) / len(vals)
@@ -316,7 +376,7 @@ def run_bias_curves(cfg: ExperimentConfig) -> list[dict[str, object]]:
             elif tech.name == "mhrw":
                 analytic_mean = true_mean     # corrected walk targets the uniform law
             else:
-                analytic_mean = analytic.mean_q_of_f(model, f)
+                analytic_mean = analytic.mean_q_of_f(law, f)
             rows.append({
                 "technique": tech.tag,
                 "f": f,
@@ -331,12 +391,18 @@ def run_bias_curves(cfg: ExperimentConfig) -> list[dict[str, object]]:
     return rows
 
 
-def _correction_replica(args: tuple) -> tuple[int, list[dict[str, object]]]:
-    cfg, replica, shared_graph = args
-    g = shared_graph
-    if g is None:
-        g = _build_graph(cfg.source, random.Random(derive_seed(cfg.master_seed, replica, "graph")))
-    component = sorted(largest_component_nodes(g))
+def run_bias_curves(cfg: ExperimentConfig) -> list[dict[str, object]]:
+    """Mean sampled degree against coverage, per technique, with the
+    analytic curve, the stationary walk level, and the true mean alongside."""
+    if not cfg.techniques:
+        raise ConfigError("bias curves need at least one technique")
+    shared = _shared_setup(cfg)
+    return _bias_rows(cfg, shared, _reference_law(cfg, shared))
+
+
+def _correction_replica(cfg: ExperimentConfig, replica: int,
+                        shared: Setup | None) -> list[dict[str, object]]:
+    g, component = _replica_setup(cfg, replica, shared)
     n = g.node_count
     rows = []
     for f in cfg.f_grid:
@@ -366,7 +432,7 @@ def _correction_replica(args: tuple) -> tuple[int, list[dict[str, object]]]:
             row["iterations"] = exc.iterations
             row["residual"] = exc.residual
         rows.append(row)
-    return replica, rows
+    return rows
 
 
 def run_correction_eval(cfg: ExperimentConfig) -> list[dict[str, object]]:
@@ -375,27 +441,17 @@ def run_correction_eval(cfg: ExperimentConfig) -> list[dict[str, object]]:
     Emits one row per (f, replica) plus an averaged row per f (replica='avg');
     the true mean degree rides along in every row.
     """
-    shared = None
-    if cfg.source.kind == "file":
-        shared = _build_graph(cfg.source, random.Random(derive_seed(cfg.master_seed, 0, "graph")))
-    model = cfg.source.model() if cfg.source.kind == "generate" else degree_distribution(shared)
-    true_mean = model.mean()
-
-    jobs = [(cfg, r, shared) for r in range(cfg.replicas)]
-    if cfg.workers > 1:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            results = list(pool.map(_correction_replica, jobs))
-    else:
-        results = [_correction_replica(job) for job in jobs]
-    results.sort(key=lambda item: item[0])
+    shared = _shared_setup(cfg)
+    true_mean = _reference_law(cfg, shared).mean()
+    results = _map_replicas(_correction_replica, cfg, shared)
 
     rows: list[dict[str, object]] = []
-    for _, reps in results:
+    for reps in results:
         for row in reps:
             row["true_mean"] = true_mean
             rows.append(row)
     for i, f in enumerate(cfg.f_grid):
-        group = [reps[i] for _, reps in results]
+        group = [reps[i] for reps in results]
         ok = [r for r in group if r["converged"]]
         rows.append({
             "f": f,
@@ -428,65 +484,34 @@ def run_compare(cfg: ExperimentConfig) -> list[dict[str, object]]:
 def run_assortativity_sweep(cfg: ExperimentConfig) -> list[dict[str, object]]:
     """Bias curves after rewiring one generated graph to each target r.
 
-    Target r = 0 (or an empty target list entry) means the unrewired graph.
-    A target the rewiring cannot reach within tolerance is reported with
-    rewire_ok=0 and its curve rows are skipped.
+    Target r = 0 means the unrewired graph. A target the rewiring cannot
+    reach within tolerance is reported with rewire_ok=0 and its curve rows
+    are skipped. Rewiring keeps every degree, so one reference law serves
+    all targets.
     """
     if cfg.source.kind != "generate":
         raise ConfigError("assortativity sweep needs a generated graph source")
     if not cfg.assortativity_targets:
         raise ConfigError("assortativity sweep needs assortativity_targets")
     base = _build_graph(cfg.source, random.Random(derive_seed(cfg.master_seed, 0, "graph")))
-    model = cfg.source.model()
+    law = _reference_law(cfg, None)
     rows: list[dict[str, object]] = []
     for target in cfg.assortativity_targets:
         if target == 0.0:
-            g, achieved, ok = base, _safe_r(base), 1
+            r = assortativity(base)
+            g, achieved, ok = base, float("nan") if r is None else r, 1
         else:
             rng = random.Random(derive_seed(cfg.master_seed, 0, f"rewire:{target:g}"))
             result = rewire_to_assortativity(base, target, rng, tolerance=cfg.rewire_tolerance)
             g, achieved = result.graph, result.achieved_r
             ok = int(abs(achieved - target) <= cfg.rewire_tolerance)
         if not ok:
-            rows.append({"target_r": target, "achieved_r": achieved, "rewire_ok": 0,
-                         "technique": "", "f": "", "replicas": "", "empirical_mean": "",
-                         "analytic_mean": "", "rw_mean": "", "true_mean": ""})
+            rows.append({"target_r": target, "achieved_r": achieved, "rewire_ok": 0})
             continue
-        sub = ExperimentConfig(
-            source=cfg.source, techniques=cfg.techniques, f_grid=cfg.f_grid,
-            replicas=cfg.replicas, master_seed=derive_seed(cfg.master_seed, 0, f"sweep:{target:g}"),
-            workers=cfg.workers, mode="bias",
-        )
-        for row in _bias_rows_on_fixed_graph(sub, g, model):
+        sub = replace(cfg, master_seed=derive_seed(cfg.master_seed, 0, f"sweep:{target:g}"))
+        for row in _bias_rows(sub, _setup(g), law):
             row.update({"target_r": target, "achieved_r": achieved, "rewire_ok": 1})
             rows.append(row)
-    return rows
-
-
-def _safe_r(g: Graph) -> float:
-    from .graph import assortativity
-    r = assortativity(g)
-    return float("nan") if r is None else r
-
-
-def _bias_rows_on_fixed_graph(cfg: ExperimentConfig, g: Graph,
-                              model: DegreeDistribution) -> list[dict[str, object]]:
-    results = [_bias_replica((cfg, r, g)) for r in range(cfg.replicas)]
-    results.sort(key=lambda item: item[0])
-    rw_mean = analytic.rw_expected(model)[1]
-    true_mean = model.mean()
-    rows = []
-    for tech in cfg.techniques:
-        per_f = list(zip(*(means[tech.tag] for _, means, _ in results)))
-        flagged = sum(short[tech.tag] > 0 for _, _, short in results)
-        for f, vals in zip(cfg.f_grid, per_f):
-            mean = sum(vals) / len(vals)
-            rows.append({
-                "technique": tech.tag, "f": f, "replicas": len(vals),
-                "empirical_mean": mean,
-                "analytic_mean": analytic.mean_q_of_f(model, f),
-                "rw_mean": rw_mean, "true_mean": true_mean, "flagged": flagged,
-            })
     return rows
 
 
@@ -515,3 +540,5 @@ CORRECTION_COLUMNS = ["f", "replica", "sampled_mean", "bfs_corrected", "rw_corre
                       "true_mean", "converged", "iterations", "residual"]
 SWEEP_COLUMNS = ["target_r", "achieved_r", "rewire_ok", "technique", "f", "replicas",
                  "empirical_mean", "analytic_mean", "rw_mean", "true_mean"]
+COMPARE_COLUMNS = ["method", "mean_estimate", "rmse", "replicas", "diag_iterations",
+                   "diag_residual"]

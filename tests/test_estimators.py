@@ -180,6 +180,16 @@ def test_convergence_error_carries_diagnostics():
     assert err.residual == pytest.approx(0.25)
 
 
+def test_bfs_correct_iteration_cap_raises_with_diagnostics():
+    trace = _trace([1, 1, 3, 5], coverage=0.5)
+    full = bfs_correct(trace, 0.5)
+    assert 3 < full.iterations < 500 and abs(full.residual) <= 1e-8
+    with pytest.raises(ConvergenceError) as info:
+        bfs_correct(trace, 0.5, max_iter=3)
+    assert info.value.iterations == 3
+    assert abs(info.value.residual) > 1e-8
+
+
 # --- neighborhood estimators ---------------------------------------------------
 
 DEGREES3 = [1.0, 2.0, 1.0]

@@ -4,10 +4,12 @@ import csv
 import io
 import json
 import math
+from dataclasses import replace
 
 import pytest
 
-from crawlbias import cli
+from crawlbias import (DegreeDistribution, cli, degree_sequence_from_distribution,
+                       mean_q_of_f)
 from crawlbias.experiments import (BIAS_COLUMNS, CORRECTION_COLUMNS, SWEEP_COLUMNS,
                                    ConfigError, ExperimentConfig, GraphSource, TechniqueSpec,
                                    derive_seed, parse_pk_spec, run_assortativity_sweep,
@@ -80,6 +82,13 @@ def test_config_from_json_and_validation():
         lambda d: d.__setitem__("f_grid", [1.5]),
         lambda d: d.__setitem__("replicas", 0),
         lambda d: d.__setitem__("mode", "dance"),
+        # unknown keys fail instead of running with a default
+        lambda d: d.__setitem__("replica", 7),
+        lambda d: d.__setitem__("out_dir", "results"),
+        lambda d: d["graph"].__setitem__("files", "g.txt"),
+        lambda d: d["graph"].__setitem__("file", "g.txt"),
+        lambda d: d["graph"]["generate"].__setitem__("node", 100),
+        lambda d: d["techniques"][1].__setitem__("prob", 0.5),
     ):
         bad = json.loads(json.dumps(doc))
         mutate(bad)
@@ -128,6 +137,20 @@ def test_run_bias_curves_deterministic_and_worker_invariant():
     assert r1 == r2 == r3
 
 
+def test_bias_references_follow_realized_law():
+    # at 1,000 nodes the rounded degree sequence of this law differs from the
+    # continuous pk, and the generated graphs follow the rounded sequence
+    pk = "powerlaw:2.5:2:100"
+    cfg = _bias_cfg(source=GraphSource("generate", pk=pk, nodes=1000),
+                    techniques=[TechniqueSpec("bfs")], f_grid=[0.1, 0.5], replicas=2)
+    continuous = parse_pk_spec(pk)
+    realized = DegreeDistribution.from_sequence(degree_sequence_from_distribution(continuous, 1000))
+    assert abs(realized.mean() - continuous.mean()) > 0.01
+    for row in run_bias_curves(cfg):
+        assert row["analytic_mean"] == mean_q_of_f(realized, row["f"])
+        assert row["true_mean"] == realized.mean()
+
+
 def test_run_correction_eval_rows():
     cfg = _bias_cfg(techniques=[], mode="correction", f_grid=[0.3])
     rows = run_correction_eval(cfg)
@@ -138,6 +161,17 @@ def test_run_correction_eval_rows():
         assert set(CORRECTION_COLUMNS) <= set(row)
     assert avg[0]["converged"] == 4
     assert abs(avg[0]["bfs_corrected"] - 4.0) < abs(avg[0]["sampled_mean"] - 4.0)
+
+
+def test_run_correction_eval_file_source_worker_invariant(tmp_path):
+    edge_file = tmp_path / "g.txt"
+    assert _run_cli(["generate", "--pk", "bimodal:2:6:0.5", "--nodes", "300",
+                     "--rng-seed", "3", "--out", str(edge_file)]) == 0
+    cfg = _bias_cfg(techniques=[], mode="correction", f_grid=[0.2, 0.7], replicas=3,
+                    source=GraphSource("file", path=str(edge_file)))
+    serial = run_correction_eval(cfg)
+    assert serial == run_correction_eval(replace(cfg, workers=2))
+    assert len(serial) == 3 * 2 + 2
 
 
 def test_run_compare_rows():
@@ -166,6 +200,14 @@ def test_run_assortativity_sweep_rows():
         assert all(r["rewire_ok"] == 1 for r in grp)
         if target != 0.0:
             assert all(abs(r["achieved_r"] - target) <= 0.05 for r in grp)
+
+
+def test_run_assortativity_sweep_worker_invariant():
+    cfg = _bias_cfg(techniques=[TechniqueSpec("bfs"), TechniqueSpec("rw")], replicas=3,
+                    mode="assortativity", assortativity_targets=[-0.2, 0.0])
+    serial = run_assortativity_sweep(cfg)
+    assert serial == run_assortativity_sweep(replace(cfg, workers=2))
+    assert len(serial) == 2 * 2 * 2
 
 
 def test_sweep_requires_targets_and_generated_source():
@@ -264,6 +306,44 @@ def test_cli_curves_analytic_mode(tmp_path):
     assert q["1"] == pytest.approx(4 / 11, abs=1e-9)
 
 
+def test_cli_curves_json_pk_object(tmp_path):
+    pk = {"2": 0.5, "6": 0.5}
+    for mode, column in (("bias", "analytic_mean"), ("analytic", "mean_q")):
+        cfg = tmp_path / f"{mode}.json"
+        cfg.write_text(json.dumps({
+            "graph": {"generate": {"pk": pk, "nodes": 200}},
+            "techniques": ["bfs"], "f_grid": [0.5], "replicas": 2, "seed": 4, "mode": mode,
+        }))
+        out = tmp_path / f"{mode}.csv"
+        assert _run_cli(["curves", "--config", str(cfg), "--out", str(out)]) == 0
+        row = next(csv.DictReader(l for l in open(out) if not l.startswith("#")))
+        # 200 nodes realize the two classes exactly, so both laws agree here
+        assert float(row[column]) == pytest.approx(mean_q_of_f(parse_pk_spec(pk), 0.5))
+
+
+def test_cli_rng_seed_zero_overrides_config_seed(tmp_path):
+    doc = {"graph": {"generate": {"pk": "bimodal:2:6:0.5", "nodes": 150}},
+           "techniques": ["bfs"], "f_grid": [0.3], "replicas": 2}
+    outputs = {}
+    for name, seed, flag in (("zero", 0, []), ("five", 5, []),
+                             ("override", 5, ["--rng-seed", "0"])):
+        cfg = tmp_path / f"{name}.json"
+        cfg.write_text(json.dumps({**doc, "seed": seed}))
+        out = tmp_path / f"{name}.csv"
+        assert _run_cli(["curves", "--config", str(cfg), "--out", str(out), *flag]) == 0
+        outputs[name] = [l for l in out.read_text().splitlines() if not l.startswith("#")]
+    assert outputs["override"] == outputs["zero"] != outputs["five"]
+
+
+def test_cli_correct_bfs_without_coverage_asks_for_f(tmp_path, capsys):
+    trace_file = tmp_path / "t.csv"
+    trace_file.write_text("position,node,degree,x_value\n0,0,3,\n1,1,2,\n2,2,4,\n")
+    assert _run_cli(["correct", "--trace", str(trace_file), "--method", "bfs"]) == 2
+    assert "--f" in capsys.readouterr().err
+    assert _run_cli(["correct", "--trace", str(trace_file), "--method", "bfs",
+                     "--f", "0.5", "--out", str(tmp_path / "c.csv")]) == 0
+
+
 def test_cli_compare_mode(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
@@ -284,6 +364,9 @@ def test_cli_exit_codes(tmp_path):
     assert _run_cli(["stats", str(tmp_path / "missing.txt")]) == 2
     bad = tmp_path / "bad.json"
     bad.write_text("not json")
+    assert _run_cli(["curves", "--config", str(bad)]) == 2
+    bad.write_text(json.dumps({"graph": {"generate": {"pk": "regular:3", "nodes": 50}},
+                               "techniques": ["bfs"], "f_grid": [0.5], "replica": 7}))
     assert _run_cli(["curves", "--config", str(bad)]) == 2
     assert _run_cli(["sample", "--pk", "regular:3", "--technique", "bfs",
                      "--budget", "4"]) == 2  # missing --nodes
