@@ -23,15 +23,6 @@ from typing import Sequence
 from .graph import DegreeDistribution
 
 
-def _survival(t: float, k: int) -> float:
-    """(1 - t)^k, evaluated in log space so large k cannot underflow bias in."""
-    if k == 0 or t <= 0.0:
-        return 1.0
-    if t >= 1.0:
-        return 0.0
-    return math.exp(k * math.log1p(-t))
-
-
 def _inclusion(t: float, k: int) -> float:
     """1 - (1 - t)^k without cancellation at small t."""
     if k == 0 or t <= 0.0:

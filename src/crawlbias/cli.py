@@ -17,7 +17,7 @@ from . import analytic, experiments
 from .estimators import ConvergenceError, bfs_correct, mhrw_correct, rw_correct
 from .generate import configuration_model, degree_sequence_from_distribution, rewire_to_assortativity
 from .graph import GraphFormatError, RAW, degree_distribution, load_edge_list, stats_row
-from .samplers import trace_from_csv, trace_to_csv
+from .samplers import trace_from_csv, trace_to_csv, weighted_without_replacement
 from .experiments import ConfigError
 
 
@@ -160,7 +160,6 @@ def cmd_sample(args: argparse.Namespace) -> int:
     if args.seed_node is not None:
         component = [args.seed_node]
     else:
-        from .samplers import weighted_without_replacement
         component = weighted_without_replacement(g.degrees(), 1, rng)
         if not component:
             raise ConfigError("graph has no edges to start a crawl from")

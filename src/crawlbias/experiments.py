@@ -11,12 +11,13 @@ from dataclasses import dataclass, field, replace
 from typing import IO, Callable, Mapping, Sequence
 
 from . import analytic
-from .estimators import ConvergenceError, NeighborhoodScheme, bfs_correct, rmse_compare, rw_correct
+from .estimators import ConvergenceError, bfs_correct, rmse_compare, rw_correct
 from .generate import configuration_model, degree_sequence_from_distribution, rewire_to_assortativity
 from .graph import (DegreeDistribution, Graph, assortativity, degree_distribution,
                     largest_component_nodes, load_edge_list)
-from .samplers import (FIFO, SampleTrace, assign_stub_indices, bfs, dfs, forest_fire, mhrw,
-                       random_walk, snowball, stub_level_traversal, weighted_without_replacement)
+from .samplers import (FIFO, SampleTrace, _check_start, assign_stub_indices, bfs, dfs,
+                       forest_fire, mhrw, random_walk, snowball, stub_level_traversal,
+                       weighted_without_replacement)
 
 
 class ConfigError(ValueError):
@@ -258,6 +259,7 @@ def run_technique(g: Graph, component: Sequence[int], tech: TechniqueSpec,
     if tech.name == "mhrw":
         return mhrw(g, seed, budget, rng)
     if tech.name == "wwor":
+        _check_start(g, seed, budget)
         degs = g.degrees()
         nodes = weighted_without_replacement(degs, min(budget, g.node_count), rng)
         return SampleTrace("wwor", seed, nodes, [degs[v] for v in nodes], False,

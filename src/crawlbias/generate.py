@@ -45,8 +45,7 @@ def configuration_model(degrees: Sequence[int], rng: random.Random) -> Graph:
         raise ValueError("degree sequence has an odd stub total")
     rng.shuffle(stubs)
     adj: list[list[int]] = [[] for _ in degrees]
-    for i in range(0, len(stubs), 2):
-        a, b = stubs[i], stubs[i + 1]
+    for a, b in zip(stubs[::2], stubs[1::2]):
         adj[a].append(b)
         adj[b].append(a)
     return Graph(adj)

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import IO, Iterable, Iterator, Mapping, Sequence
 
@@ -20,22 +19,23 @@ class Graph:
     sum(degrees) == 2 * edge_count always holds.
 
     Instances are frozen by convention once built: nothing in this package
-    mutates an existing Graph, so concurrent readers need no locking.
+    mutates an existing Graph, so concurrent readers need no locking. The
+    constructor takes ownership of the neighbor lists it is given instead of
+    copying them; callers hand over freshly built lists and keep no alias.
     """
 
     __slots__ = ("adjacency", "edge_count", "labels")
 
-    def __init__(self, adjacency: Sequence[Sequence[int]], labels: Sequence[int] | None = None):
-        adj = [list(nbrs) for nbrs in adjacency]
-        stubs = sum(len(nbrs) for nbrs in adj)
+    def __init__(self, adjacency: list[list[int]], labels: Sequence[int] | None = None):
+        stubs = sum(len(nbrs) for nbrs in adjacency)
         if stubs % 2:
             raise ValueError("adjacency is not symmetric: odd number of stub entries")
-        if labels is not None and len(labels) != len(adj):
+        if labels is not None and len(labels) != len(adjacency):
             raise ValueError("labels length does not match node count")
-        self.adjacency = adj
+        self.adjacency = adjacency
         self.edge_count = stubs // 2
         # original node names for reporting; identity when the graph was generated
-        self.labels = list(labels) if labels is not None else list(range(len(adj)))
+        self.labels = list(labels) if labels is not None else list(range(len(adjacency)))
 
     @classmethod
     def from_edges(cls, node_count: int, edges: Iterable[tuple[int, int]],

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import accumulate
 from typing import IO, Iterable, Sequence
 
 from .graph import Graph
@@ -34,9 +35,6 @@ class SampleTrace:
 
     def __len__(self) -> int:
         return len(self.nodes)
-
-    def distinct_count(self) -> int:
-        return len(set(self.nodes))
 
 
 @dataclass(frozen=True)
@@ -87,14 +85,21 @@ def assign_stub_indices(degrees: Sequence[int], rng: random.Random) -> StubAssig
     """Draw one independent uniform index per stub; all indices distinct."""
     while True:
         rows = tuple(tuple(rng.random() for _ in range(k)) for k in degrees)
-        flat = [t for row in rows for t in row]
-        if len(set(flat)) == len(flat):  # collision has probability ~0; redraw if it happens
+        try:
             return StubAssignment(rows)
+        except ValueError:
+            continue  # collision has probability ~0; redraw if it happens
 
 
 def _check_node(g: Graph, v: int) -> None:
     if not 0 <= v < g.node_count:
         raise ValueError(f"unknown node {v}")
+
+
+def _check_start(g: Graph, seed: int, budget: int) -> None:
+    _check_node(g, seed)
+    if budget < 1:
+        raise ValueError("budget must be >= 1")
 
 
 def _make_trace(technique: str, g: Graph, seed: int, nodes: list[int],
@@ -106,9 +111,7 @@ def _make_trace(technique: str, g: Graph, seed: int, nodes: list[int],
 
 def bfs(g: Graph, seed: int, budget: int) -> SampleTrace:
     """Breadth-first trace of min(budget, component size) distinct nodes."""
-    _check_node(g, seed)
-    if budget < 1:
-        raise ValueError("budget must be >= 1")
+    _check_start(g, seed, budget)
     adj = g.adjacency
     seen = bytearray(g.node_count)
     seen[seed] = 1
@@ -130,9 +133,7 @@ def bfs(g: Graph, seed: int, budget: int) -> SampleTrace:
 
 def dfs(g: Graph, seed: int, budget: int) -> SampleTrace:
     """Depth-first trace: always descend from the latest discovered node."""
-    _check_node(g, seed)
-    if budget < 1:
-        raise ValueError("budget must be >= 1")
+    _check_start(g, seed, budget)
     adj = g.adjacency
     seen = bytearray(g.node_count)
     order: list[int] = []
@@ -182,9 +183,7 @@ def forest_fire(g: Graph, seed: int, budget: int, p: float, rng: random.Random) 
     out before the budget, so the trace always reaches
     min(budget, component size) nodes. With p = 1 this is exactly bfs.
     """
-    _check_node(g, seed)
-    if budget < 1:
-        raise ValueError("budget must be >= 1")
+    _check_start(g, seed, budget)
     if not 0.0 < p <= 1.0:
         raise ValueError("spread probability must lie in (0, 1]")
     adj = g.adjacency
@@ -223,9 +222,7 @@ def snowball(g: Graph, seed: int, budget: int, names: int, rng: random.Random) -
     uniformly chosen neighbors; revived like forest_fire when stalled.
     With names >= max degree every neighbor is scheduled, i.e. plain bfs.
     """
-    _check_node(g, seed)
-    if budget < 1:
-        raise ValueError("budget must be >= 1")
+    _check_start(g, seed, budget)
     if names < 1:
         raise ValueError("names must be >= 1")
     adj = g.adjacency
@@ -309,56 +306,22 @@ def mhrw(g: Graph, seed: int, steps: int, rng: random.Random) -> SampleTrace:
     return _make_trace("mhrw", g, seed, nodes, True)
 
 
-class _WeightTree:
-    # implicit binary sum-tree over the weights; leaves sit at [m, m + n)
-    def __init__(self, weights: Sequence[float]):
-        m = 1
-        while m < len(weights):
-            m <<= 1
-        tree = [0.0] * (2 * m)
-        tree[m:m + len(weights)] = [float(w) for w in weights]
-        for i in range(m - 1, 0, -1):
-            tree[i] = tree[2 * i] + tree[2 * i + 1]
-        self.m = m
-        self.tree = tree
-
-    @property
-    def total(self) -> float:
-        return self.tree[1]
-
-    def pop(self, rng: random.Random) -> int:
-        gas = rng.random() * self.tree[1]
-        i = 1
-        while i < self.m:
-            i <<= 1
-            if gas >= self.tree[i]:
-                gas -= self.tree[i]
-                i += 1
-        weight = self.tree[i]
-        leaf = i - self.m
-        while i:
-            self.tree[i] -= weight
-            i >>= 1
-        return leaf
-
-
 def weighted_without_replacement(degrees: Sequence[int], budget: int,
                                  rng: random.Random) -> list[int]:
     """Successive degree-proportional draws without replacement.
 
     Each draw picks a remaining node with probability proportional to its
-    degree. Returns `budget` node ids, or fewer if only zero-degree nodes
-    remain before the budget is met.
+    degree. This is the stub traversal's discovery law, run as a race: a
+    degree-k node's minimum stub index t has -ln(1 - t) ~ Exp(k), so sorting
+    nodes by an Exp(k) key is sorting them by minimum stub index (the
+    exponential-race form of weighted sampling without replacement,
+    Efraimidis & Spirakis 2006). Returns `budget` node ids, or fewer if only
+    zero-degree nodes remain before the budget is met.
     """
     if budget < 0 or budget > len(degrees):
         raise ValueError("budget must lie in [0, len(degrees)]")
-    tree = _WeightTree(degrees)
-    out: list[int] = []
-    for _ in range(budget):
-        if tree.total <= 0:
-            break
-        out.append(tree.pop(rng))
-    return out
+    keys = {v: rng.expovariate(k) for v, k in enumerate(degrees) if k > 0}
+    return sorted(keys, key=keys.__getitem__)[:budget]
 
 
 def stub_level_traversal(degrees: Sequence[int], assignment: StubAssignment, seed: int,
@@ -396,16 +359,9 @@ def stub_level_traversal(degrees: Sequence[int], assignment: StubAssignment, see
     if randomized and rng is None:
         raise ValueError("randomized_fifo needs an rng for the stub-loss coins")
 
-    owner: list[int] = []
-    tvals: list[float] = []
-    node_stubs: list[list[int]] = []
-    for v, row in enumerate(assignment.indices):
-        ids = []
-        for t in row:
-            ids.append(len(owner))
-            owner.append(v)
-            tvals.append(t)
-        node_stubs.append(ids)
+    owner = [v for v, k in enumerate(degrees) for _ in range(k)]
+    tvals = [t for row in assignment.indices for t in row]
+    start = list(accumulate(degrees, initial=0))  # v's stubs: range(start[v], start[v + 1])
     total = len(owner)
 
     order = sorted(range(total), key=tvals.__getitem__)  # scan order
@@ -423,7 +379,7 @@ def stub_level_traversal(degrees: Sequence[int], assignment: StubAssignment, see
             return  # stub burned out: never followed, stays matchable
         q.append(s)
 
-    for s in node_stubs[seed]:
+    for s in range(start[seed], start[seed + 1]):
         enqueue(s)
 
     while len(trace) < budget:
@@ -443,7 +399,7 @@ def stub_level_traversal(degrees: Sequence[int], assignment: StubAssignment, see
                 trace.append(w)
                 if len(trace) == budget:
                     break
-                for s in node_stubs[w]:
+                for s in range(start[w], start[w + 1]):
                     if s != b:
                         enqueue(s)
         if len(trace) >= budget or not restart:
@@ -461,7 +417,7 @@ def stub_level_traversal(degrees: Sequence[int], assignment: StubAssignment, see
             trace.append(w)
             if len(trace) >= budget:
                 break
-            for s in node_stubs[w]:
+            for s in range(start[w], start[w + 1]):
                 enqueue(s)
 
     realized = Graph.from_edges(n, edges)

@@ -373,6 +373,10 @@ def test_cli_exit_codes(tmp_path):
     malformed = tmp_path / "edges.txt"
     malformed.write_text("1 2 3\n")
     assert _run_cli(["stats", str(malformed)]) == 2
+    # wwor rejects what the traversals reject: an empty budget, an unknown start node
+    for extra in (["--budget", "0"], ["--budget", "4", "--seed-node", "500"]):
+        assert _run_cli(["sample", "--pk", "regular:3", "--nodes", "20",
+                         "--technique", "wwor", *extra]) == 2
 
 
 def test_cli_trace_metadata_carries_coverage(tmp_path):

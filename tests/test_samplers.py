@@ -8,9 +8,9 @@ import pytest
 
 from crawlbias import (FIFO, LIFO, DegreeDistribution, Graph, QueueDiscipline, SampleTrace,
                        StubAssignment, assign_stub_indices, bfs, configuration_model,
-                       degree_sequence_from_distribution, dfs, forest_fire,
-                       largest_component_nodes, mhrw, random_walk, randomized_fifo, snowball,
-                       stub_level_traversal, trace_from_csv, trace_to_csv,
+                       degree_sequence_from_distribution, dfs, exact_step_distribution,
+                       forest_fire, largest_component_nodes, mhrw, random_walk, randomized_fifo,
+                       snowball, stub_level_traversal, trace_from_csv, trace_to_csv,
                        weighted_without_replacement)
 
 PATH3 = Graph.from_edges(3, [(0, 1), (1, 2)])
@@ -213,17 +213,28 @@ def test_wwor_first_and_second_draw_marginals():
     assert abs(first[2] / runs - 0.5) < 0.01
     for v in range(3):
         assert abs(second[v] / runs - 1 / 3) < 0.01
+    # draws past the second, against the exact law of the first three
+    degrees = [1, 2, 3, 5, 1, 4, 2, 6]
+    counts = [Counter() for _ in range(3)]
+    runs = 60000
+    for _ in range(runs):
+        for tally, v in zip(counts, weighted_without_replacement(degrees, 3, rng)):
+            tally[v] += 1
+    for step, tally in enumerate(counts, start=1):
+        exact = exact_step_distribution(degrees, step)
+        for v in range(len(degrees)):
+            assert abs(tally[v] / runs - exact[v]) < 0.01
 
 
 def test_wwor_matches_naive_resampling_law():
-    # cross-check the tree-based sampler against direct inverse-cdf draws
+    # cross-check the exponential-race sampler against direct inverse-cdf draws
     degrees = [1, 2, 3, 4]
     runs = 80000
-    tree_counts = Counter()
+    race_counts = Counter()
     naive_counts = Counter()
     rng = random.Random(3)
     for _ in range(runs):
-        tree_counts[tuple(weighted_without_replacement(degrees, 2, rng))] += 1
+        race_counts[tuple(weighted_without_replacement(degrees, 2, rng))] += 1
     rng = random.Random(4)
     for _ in range(runs):
         remaining = dict(enumerate(degrees))
@@ -239,7 +250,7 @@ def test_wwor_matches_naive_resampling_law():
             del remaining[v]
         naive_counts[tuple(picks)] += 1
     for pair in naive_counts:
-        assert abs(tree_counts[pair] / runs - naive_counts[pair] / runs) < 0.012
+        assert abs(race_counts[pair] / runs - naive_counts[pair] / runs) < 0.012
 
 
 # --- stub-level traversal ----------------------------------------------------
