@@ -83,7 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, required=True,
                    help="nodes to collect (steps, for walks)")
     p.add_argument("--seed-node", type=int, default=None,
-                   help="start node (default: degree-weighted draw)")
+                   help="start node, by its id in the edge list (default: degree-weighted draw)")
     p.add_argument("--ff-p", type=float, default=0.5, help="spread probability for ff")
     p.add_argument("--sbs-n", type=int, default=2, help="referrals per node for sbs")
     p.add_argument("--raw", action="store_true")
@@ -158,7 +158,10 @@ def cmd_sample(args: argparse.Namespace) -> int:
         g = configuration_model(seq, rng)
     tech = experiments.TechniqueSpec(args.technique, p=args.ff_p, names=args.sbs_n)
     if args.seed_node is not None:
-        component = [args.seed_node]
+        try:
+            component = [g.labels.index(args.seed_node)]
+        except ValueError:
+            raise ConfigError(f"unknown node {args.seed_node}: no such id in the graph") from None
     else:
         component = weighted_without_replacement(g.degrees(), 1, rng)
         if not component:

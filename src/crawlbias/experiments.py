@@ -244,7 +244,11 @@ def _build_graph(source: GraphSource, rng: random.Random) -> Graph:
 
 def run_technique(g: Graph, component: Sequence[int], tech: TechniqueSpec,
                   budget: int, rng: random.Random) -> SampleTrace:
-    """One sampling run; the start node is uniform over the largest component."""
+    """One sampling run; the start node is uniform over the largest component.
+
+    wwor still consumes the start-node draw (seeded outputs depend on it) but
+    does not crawl from it, so its trace's seed_node is its first draw.
+    """
     seed = component[rng.randrange(len(component))]
     if tech.name == "bfs":
         return bfs(g, seed, budget)
@@ -262,7 +266,9 @@ def run_technique(g: Graph, component: Sequence[int], tech: TechniqueSpec,
         _check_start(g, seed, budget)
         degs = g.degrees()
         nodes = weighted_without_replacement(degs, min(budget, g.node_count), rng)
-        return SampleTrace("wwor", seed, nodes, [degs[v] for v in nodes], False,
+        if not nodes:
+            raise ValueError("graph has no edges to draw from")
+        return SampleTrace("wwor", nodes[0], nodes, [degs[v] for v in nodes], False,
                            len(set(nodes)) / g.node_count)
     # stub: simulate on this graph's degree sequence under a fresh matching
     degs = g.degrees()

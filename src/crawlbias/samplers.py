@@ -22,7 +22,8 @@ class SampleTrace:
 
     coverage is the fraction of distinct sampled nodes over the node count of
     the sampled graph. with_replacement marks walk-style traces whose records
-    may repeat; traversal traces never repeat a node.
+    may repeat; traversal traces never repeat a node. revivals counts the
+    times forest fire or snowball restarted a dead fire (0 for the others).
     """
 
     technique: str
@@ -32,6 +33,7 @@ class SampleTrace:
     with_replacement: bool
     coverage: float
     x_values: list[float] | None = None
+    revivals: int = 0
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -103,10 +105,11 @@ def _check_start(g: Graph, seed: int, budget: int) -> None:
 
 
 def _make_trace(technique: str, g: Graph, seed: int, nodes: list[int],
-                with_replacement: bool) -> SampleTrace:
+                with_replacement: bool, revivals: int = 0) -> SampleTrace:
     degs = [len(g.adjacency[v]) for v in nodes]
     coverage = len(set(nodes)) / g.node_count
-    return SampleTrace(technique, seed, nodes, degs, with_replacement, coverage)
+    return SampleTrace(technique, seed, nodes, degs, with_replacement, coverage,
+                       revivals=revivals)
 
 
 def bfs(g: Graph, seed: int, budget: int) -> SampleTrace:
@@ -148,32 +151,72 @@ def dfs(g: Graph, seed: int, budget: int) -> SampleTrace:
     return _make_trace("dfs", g, seed, order, False)
 
 
-def _revive(g: Graph, order: list[int], seen: bytearray, rng: random.Random,
-            component: set[int] | None) -> tuple[int | None, set[int] | None, bool]:
-    """Pick a node to continue a stalled traversal from.
+def _revivable(g: Graph, seed: int, budget: int, rng: random.Random, technique: str,
+               p: float = 1.0, names: int = 0) -> SampleTrace:
+    """The one revivable traversal behind forest_fire and snowball.
 
-    Prefers an already-sampled node that still has unvisited neighbors; when
-    the sampled set is closed (component covered) falls back to an unsampled
-    node of the seed's component, if any remains.
+    A dead fire restarts from a uniform sampled node, in discovery order, that
+    still has an unseen neighbor; when none has one, the sample is the seed's
+    whole component. unseen[v] counts v's adjacency entries at unseen nodes and
+    a Fenwick tree over discovery positions marks the revivable nodes; both are
+    updated once per stall: O(m) in all, plus O(log n) per sampled node and per
+    revival.
     """
     adj = g.adjacency
-    candidates = [v for v in order if any(not seen[w] for w in adj[v])]
-    if candidates:
-        return candidates[rng.randrange(len(candidates))], component, False
-    if component is None:
-        component = set()
-        stack = [order[0]]
-        component.add(order[0])
-        while stack:
-            u = stack.pop()
+    n = g.node_count
+    seen = bytearray(n)
+    seen[seed] = 1
+    order = [seed]
+    q = deque([seed])
+    coin, draw = p < 1.0, rng.random
+    unseen = list(map(len, adj))
+    tree = [0] * (n + 1)
+    live: dict[int, int] = {}  # revivable node -> its position in order
+    done = revivals = 0
+
+    def add(i: int, delta: int) -> None:
+        i += 1
+        while i <= n:
+            tree[i] += delta
+            i += i & -i
+
+    while True:
+        while q and len(order) < budget:
+            nbrs = adj[q.popleft()]
+            if names and len(nbrs) > names:
+                nbrs = [nbrs[i] for i in rng.sample(range(len(nbrs)), names)]
+            for w in nbrs:  # one coin per adjacency entry: parallel edges flip again
+                if seen[w] or (coin and draw() >= p):
+                    continue
+                seen[w] = 1
+                order.append(w)
+                q.append(w)
+                if len(order) == budget:
+                    break
+        if len(order) >= budget:
+            break
+        for u in order[done:]:
             for w in adj[u]:
-                if w not in component:
-                    component.add(w)
-                    stack.append(w)
-    fresh = sorted(v for v in component if not seen[v])
-    if not fresh:
-        return None, component, False
-    return fresh[rng.randrange(len(fresh))], component, True
+                unseen[w] -= 1
+                if not unseen[w] and w in live:
+                    add(live.pop(w), -1)
+        for i in range(done, len(order)):
+            if unseen[order[i]]:
+                live[order[i]] = i
+                add(i, 1)
+        done = len(order)
+        if not live:
+            break
+        k = rng.randrange(len(live))
+        i, step = 0, 1 << n.bit_length()
+        while step:  # Fenwick descent to the (k+1)-th revivable position
+            if i + step <= n and tree[i + step] <= k:
+                i += step
+                k -= tree[i]
+            step >>= 1
+        q.append(order[i])
+        revivals += 1
+    return _make_trace(technique, g, seed, order, False, revivals)
 
 
 def forest_fire(g: Graph, seed: int, budget: int, p: float, rng: random.Random) -> SampleTrace:
@@ -186,35 +229,7 @@ def forest_fire(g: Graph, seed: int, budget: int, p: float, rng: random.Random) 
     _check_start(g, seed, budget)
     if not 0.0 < p <= 1.0:
         raise ValueError("spread probability must lie in (0, 1]")
-    adj = g.adjacency
-    seen = bytearray(g.node_count)
-    seen[seed] = 1
-    order = [seed]
-    q = deque([seed])
-    component: set[int] | None = None
-    while len(order) < budget:
-        while q and len(order) < budget:
-            u = q.popleft()
-            for w in adj[u]:  # one coin per incident edge; parallel edges flip again
-                if seen[w]:
-                    continue
-                if rng.random() < p:
-                    seen[w] = 1
-                    order.append(w)
-                    q.append(w)
-                    if len(order) == budget:
-                        q.clear()
-                        break
-        if len(order) >= budget:
-            break
-        source, component, is_fresh = _revive(g, order, seen, rng, component)
-        if source is None:
-            break  # seed's component fully sampled
-        if is_fresh:
-            seen[source] = 1
-            order.append(source)
-        q.append(source)
-    return _make_trace("ff", g, seed, order, False)
+    return _revivable(g, seed, budget, rng, "ff", p=p)
 
 
 def snowball(g: Graph, seed: int, budget: int, names: int, rng: random.Random) -> SampleTrace:
@@ -225,37 +240,7 @@ def snowball(g: Graph, seed: int, budget: int, names: int, rng: random.Random) -
     _check_start(g, seed, budget)
     if names < 1:
         raise ValueError("names must be >= 1")
-    adj = g.adjacency
-    seen = bytearray(g.node_count)
-    seen[seed] = 1
-    order = [seed]
-    q = deque([seed])
-    component: set[int] | None = None
-    while len(order) < budget:
-        while q and len(order) < budget:
-            u = q.popleft()
-            nbrs = adj[u]
-            take = min(names, len(nbrs))
-            picks = nbrs if take == len(nbrs) else [nbrs[i] for i in rng.sample(range(len(nbrs)), take)]
-            for w in picks:
-                if seen[w]:
-                    continue
-                seen[w] = 1
-                order.append(w)
-                q.append(w)
-                if len(order) == budget:
-                    q.clear()
-                    break
-        if len(order) >= budget:
-            break
-        source, component, is_fresh = _revive(g, order, seen, rng, component)
-        if source is None:
-            break
-        if is_fresh:
-            seen[source] = 1
-            order.append(source)
-        q.append(source)
-    return _make_trace("sbs", g, seed, order, False)
+    return _revivable(g, seed, budget, rng, "sbs", names=names)
 
 
 def random_walk(g: Graph, seed: int, steps: int, rng: random.Random) -> SampleTrace:
@@ -430,17 +415,23 @@ def stub_level_traversal(degrees: Sequence[int], assignment: StubAssignment, see
 
 def trace_to_csv(trace: SampleTrace, out: IO[str], labels: Sequence[int] | None = None,
                  rng_seed: int | None = None) -> None:
-    """Write a trace as CSV with '#' metadata lines before the header."""
-    meta = (f"# technique={trace.technique} seed_node={trace.seed_node} "
-            f"f={trace.coverage:.12g} with_replacement={str(trace.with_replacement).lower()}")
+    """Write a trace as CSV with '#' metadata lines before the header.
+
+    With labels, node ids (seed_node and the node column) are written as labels[id].
+    """
+    def name(v: int) -> int:
+        return labels[v] if labels is not None else v
+
+    meta = (f"# technique={trace.technique} seed_node={name(trace.seed_node)} "
+            f"f={trace.coverage:.12g} with_replacement={str(trace.with_replacement).lower()} "
+            f"revivals={trace.revivals}")
     if rng_seed is not None:
         meta += f" rng_seed={rng_seed}"
     out.write(meta + "\n")
     out.write("position,node,degree,x_value\n")
     for i, (v, k) in enumerate(zip(trace.nodes, trace.degrees)):
-        name = labels[v] if labels is not None else v
         x = "" if trace.x_values is None else f"{trace.x_values[i]:.12g}"
-        out.write(f"{i},{name},{k},{x}\n")
+        out.write(f"{i},{name(v)},{k},{x}\n")
 
 
 def trace_from_csv(source: str | IO[str] | Iterable[str]) -> SampleTrace:
@@ -487,4 +478,5 @@ def trace_from_csv(source: str | IO[str] | Iterable[str]) -> SampleTrace:
         with_replacement=meta.get("with_replacement", "false") == "true",
         coverage=float(meta.get("f", "nan")),
         x_values=xs if have_x else None,
+        revivals=int(meta.get("revivals", 0)),
     )

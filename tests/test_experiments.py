@@ -9,7 +9,7 @@ from dataclasses import replace
 import pytest
 
 from crawlbias import (DegreeDistribution, cli, degree_sequence_from_distribution,
-                       mean_q_of_f)
+                       mean_q_of_f, trace_from_csv)
 from crawlbias.experiments import (BIAS_COLUMNS, CORRECTION_COLUMNS, SWEEP_COLUMNS,
                                    ConfigError, ExperimentConfig, GraphSource, TechniqueSpec,
                                    derive_seed, parse_pk_spec, run_assortativity_sweep,
@@ -270,6 +270,30 @@ def test_cli_sample_from_pk(tmp_path):
     assert len(body) == 25
 
 
+def test_cli_sample_seed_node_is_a_file_id(tmp_path, capsys):
+    edge_file = tmp_path / "g.txt"
+    edge_file.write_text("43 7\n7 12\n12 43\n5 43\n90 5\n")  # dense ids 0..4 differ from these
+    for technique in ("bfs", "ff", "sbs"):
+        trace_file = tmp_path / f"{technique}.csv"
+        assert _run_cli(["sample", "--edgelist", str(edge_file), "--technique", technique,
+                         "--budget", "5", "--seed-node", "12", "--out", str(trace_file)]) == 0
+        lines = open(trace_file).read().splitlines()
+        assert "seed_node=12" in lines[0].split()
+        assert lines[2].split(",")[1] == "12"
+    assert _run_cli(["sample", "--edgelist", str(edge_file), "--technique", "bfs",
+                     "--budget", "5", "--seed-node", "3"]) == 2  # a dense id, not a file id
+    assert "unknown node 3" in capsys.readouterr().err
+
+
+def test_cli_wwor_trace_seed_node_is_sampled(tmp_path):
+    trace_file = tmp_path / "t.csv"
+    assert _run_cli(["sample", "--pk", "powerlaw:2.5:2:50", "--nodes", "300", "--technique",
+                     "wwor", "--budget", "10", "--seed-node", "3", "--rng-seed", "2",
+                     "--out", str(trace_file)]) == 0
+    trace = trace_from_csv(str(trace_file))
+    assert trace.seed_node == trace.nodes[0]
+
+
 def test_cli_curves_bias_deterministic(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
@@ -377,6 +401,9 @@ def test_cli_exit_codes(tmp_path):
     for extra in (["--budget", "0"], ["--budget", "4", "--seed-node", "500"]):
         assert _run_cli(["sample", "--pk", "regular:3", "--nodes", "20",
                          "--technique", "wwor", *extra]) == 2
+    # ... and a graph without edges, which has no first draw
+    assert _run_cli(["sample", "--pk", '{"0": 0.9, "2": 0.1}', "--nodes", "1",
+                     "--technique", "wwor", "--budget", "1", "--seed-node", "0"]) == 2
 
 
 def test_cli_trace_metadata_carries_coverage(tmp_path):

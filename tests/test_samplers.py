@@ -2,13 +2,14 @@
 
 import io
 import random
-from collections import Counter
+from collections import Counter, deque
 
 import pytest
 
 from crawlbias import (FIFO, LIFO, DegreeDistribution, Graph, QueueDiscipline, SampleTrace,
                        StubAssignment, assign_stub_indices, bfs, configuration_model,
-                       degree_sequence_from_distribution, dfs, exact_step_distribution,
+                       connected_components, degree_sequence_from_distribution, dfs,
+                       exact_step_distribution,
                        forest_fire, largest_component_nodes, mhrw, random_walk, randomized_fifo,
                        snowball, stub_level_traversal, trace_from_csv, trace_to_csv,
                        weighted_without_replacement)
@@ -116,8 +117,100 @@ def test_snowball_full_names_equals_bfs_law():
 
 
 def test_budget_capped_by_component():
-    trace = bfs(PATH3, 0, 99)
-    assert sorted(trace.nodes) == [0, 1, 2]
+    for trace in (bfs(PATH3, 0, 99), forest_fire(PATH3, 0, 99, 0.3, random.Random(1)),
+                  snowball(PATH3, 0, 99, 1, random.Random(2))):
+        assert sorted(trace.nodes) == [0, 1, 2]
+
+
+# --- reference: the rescan revival the one revivable traversal replaced -------
+
+def _rescan_traversal(g, seed, budget, rng, children):
+    """forest_fire / snowball as they were: every stall rescans the whole sample
+    for nodes with an unseen neighbor, then falls back to a fresh node of the
+    seed's component. Returns the node order and the revival count."""
+    adj = g.adjacency
+    seen = bytearray(g.node_count)
+    seen[seed] = 1
+    order = [seed]
+    q = deque([seed])
+    component = None
+    revivals = 0
+    while len(order) < budget:
+        while q and len(order) < budget:
+            for w in children(q.popleft(), seen):
+                seen[w] = 1
+                order.append(w)
+                q.append(w)
+                if len(order) == budget:
+                    q.clear()
+                    break
+        if len(order) >= budget:
+            break
+        candidates = [v for v in order if any(not seen[w] for w in adj[v])]
+        if candidates:
+            q.append(candidates[rng.randrange(len(candidates))])
+        else:
+            if component is None:
+                component, stack = {seed}, [seed]
+                while stack:
+                    for w in adj[stack.pop()]:
+                        if w not in component:
+                            component.add(w)
+                            stack.append(w)
+            fresh = sorted(v for v in component if not seen[v])
+            if not fresh:
+                break
+            source = fresh[rng.randrange(len(fresh))]
+            seen[source] = 1
+            order.append(source)
+            q.append(source)
+        revivals += 1
+    return order, revivals
+
+
+def _rescan_forest_fire(g, seed, budget, p, rng):
+    def children(u, seen):
+        for w in g.adjacency[u]:  # the seen check comes before the coin
+            if not seen[w] and rng.random() < p:
+                yield w
+    return _rescan_traversal(g, seed, budget, rng, children)
+
+
+def _rescan_snowball(g, seed, budget, names, rng):
+    def children(u, seen):
+        nbrs = g.adjacency[u]
+        take = min(names, len(nbrs))
+        picks = nbrs if take == len(nbrs) else [nbrs[i] for i in rng.sample(range(len(nbrs)), take)]
+        for w in picks:
+            if not seen[w]:
+                yield w
+    return _rescan_traversal(g, seed, budget, rng, children)
+
+
+def test_revivable_traversal_matches_rescan_reference():
+    # configuration-model multigraph (self-loops, parallel edges kept) with
+    # many degree-1 nodes, so it has small components besides the giant one
+    d = DegreeDistribution({1: 0.45, 2: 0.25, 3: 0.15, 6: 0.1, 12: 0.05})
+    g = configuration_model(degree_sequence_from_distribution(d, 300), random.Random(3))
+    assert any(v in g.adjacency[v] for v in range(300))
+    assert any(len(set(a)) < len(a) for a in g.adjacency)
+    giant = largest_component_nodes(g)
+    small = max((c for c in connected_components(g) if len(c) < len(giant)), key=len)
+    assert len(small) > 2
+    revived = 0
+    for start, budget in ((min(giant), 270), (min(small), len(small) + 5)):
+        for r in range(4):
+            for p in (0.3, 0.5):
+                got = forest_fire(g, start, budget, p, random.Random(r))
+                want, revivals = _rescan_forest_fire(g, start, budget, p, random.Random(r))
+                assert (got.nodes, got.revivals) == (want, revivals)
+                revived += revivals
+            for names in (1, 2):
+                got = snowball(g, start, budget, names, random.Random(r))
+                want, revivals = _rescan_snowball(g, start, budget, names, random.Random(r))
+                assert (got.nodes, got.revivals) == (want, revivals)
+                revived += revivals
+    assert revived > 100
 
 
 # --- walks ------------------------------------------------------------------
@@ -368,18 +461,22 @@ def test_stub_traversal_discipline_validation():
 def test_trace_csv_roundtrip():
     g = _config_graph(seed=31)
     seed = sorted(largest_component_nodes(g))[0]
-    trace = bfs(g, seed, 25)
-    buf = io.StringIO()
-    trace_to_csv(trace, buf, rng_seed=77)
-    text = buf.getvalue()
-    assert text.startswith("#")
-    assert "position,node,degree,x_value" in text
-    back = trace_from_csv(io.StringIO(text))
-    assert back.nodes == trace.nodes
-    assert back.degrees == trace.degrees
-    assert back.technique == "bfs"
-    assert back.coverage == pytest.approx(trace.coverage)
-    assert not back.with_replacement
+    for trace in (bfs(g, seed, 25), forest_fire(g, seed, 250, 0.3, random.Random(4))):
+        buf = io.StringIO()
+        trace_to_csv(trace, buf, rng_seed=77)
+        text = buf.getvalue()
+        assert text.startswith("#")
+        assert "position,node,degree,x_value" in text
+        back = trace_from_csv(io.StringIO(text))
+        assert back.nodes == trace.nodes
+        assert back.degrees == trace.degrees
+        assert back.technique == trace.technique
+        assert back.coverage == pytest.approx(trace.coverage)
+        assert not back.with_replacement
+        assert back.revivals == trace.revivals
+    assert trace.revivals > 0
+    no_counter = text.replace(f" revivals={trace.revivals}", "")
+    assert trace_from_csv(io.StringIO(no_counter)).revivals == 0
 
 
 def test_trace_csv_with_x_values():
