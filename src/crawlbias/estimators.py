@@ -66,10 +66,11 @@ def rw_correct(trace: SampleTrace, x: Sequence[float] | None = None) -> Estimati
     if any(k <= 0 for k in trace.degrees):
         raise ValueError("zero-degree record: 1/k weight undefined")
     xs = _resolve_x(trace, x)
-    inv = [1.0 / k for k in trace.degrees]
+    q = empirical_q(trace)
+    weight = {k: 1.0 / k for k in q.support()}  # once per degree, not per record
+    inv = [weight[k] for k in trace.degrees]
     denom = sum(inv)
     est = sum(xv * w for xv, w in zip(xs, inv)) / denom
-    q = empirical_q(trace)
     p_hat = DegreeDistribution({k: qk / k for k, qk in q.items()}, normalize=True)
     return EstimationReport("rw-corrected", est, p_hat, p_hat.mean())
 
@@ -144,7 +145,8 @@ def bfs_correct(trace: SampleTrace, f_real: float, x: Sequence[float] | None = N
 
     p_hat = bfs_correct_at_t(q_hat, t_star)
     xs = _resolve_x(trace, x)
-    inv = [1.0 / _inclusion(t_star, k) for k in trace.degrees]
+    weight = {k: 1.0 / _inclusion(t_star, k) for k in q_hat.support()}
+    inv = [weight[k] for k in trace.degrees]
     denom = sum(inv)
     est = sum(xv * w for xv, w in zip(xs, inv)) / denom
     return EstimationReport("bfs-corrected", est, p_hat, p_hat.mean(),

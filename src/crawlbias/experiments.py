@@ -6,7 +6,6 @@ import csv
 import hashlib
 import json
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import IO, Callable, Mapping, Sequence
 
@@ -280,8 +279,9 @@ def run_technique(g: Graph, component: Sequence[int], tech: TechniqueSpec,
 # --- one replica pipeline ------------------------------------------------------
 #
 # A set-up is a graph plus its sorted largest component, where crawls start. A
-# file source has one set-up, shared by every replica; a generated source has
-# none shared, and each replica builds its graph from its own "graph" seed.
+# file source has one set-up, shared by every replica; the loader keeps only
+# the largest component, so it is the whole graph. A generated source has none
+# shared, and each replica builds its graph from its own "graph" seed.
 
 Setup = tuple[Graph, list[int]]
 
@@ -291,7 +291,10 @@ def _setup(g: Graph) -> Setup:
 
 
 def _shared_setup(cfg: ExperimentConfig) -> Setup | None:
-    return _setup(load_edge_list(cfg.source.path)) if cfg.source.kind == "file" else None
+    if cfg.source.kind != "file":
+        return None
+    g = load_edge_list(cfg.source.path)
+    return g, list(range(g.node_count))
 
 
 def _replica_setup(cfg: ExperimentConfig, replica: int, shared: Setup | None) -> Setup:
@@ -336,6 +339,8 @@ def _map_replicas(fn: Callable, cfg: ExperimentConfig, shared: Setup | None) -> 
     """
     if cfg.workers == 1:
         return [fn(cfg, r, shared) for r in range(cfg.replicas)]
+    from concurrent.futures import ProcessPoolExecutor  # only pool runs pay for the import
+
     with ProcessPoolExecutor(max_workers=cfg.workers, initializer=_init_worker,
                              initargs=(fn, shared)) as pool:
         return list(pool.map(_run_in_worker, [(cfg, r) for r in range(cfg.replicas)]))

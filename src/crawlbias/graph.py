@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import IO, Iterable, Iterator, Mapping, Sequence
 
@@ -124,9 +125,7 @@ class DegreeDistribution:
 
     @classmethod
     def from_sequence(cls, degrees: Sequence[int]) -> "DegreeDistribution":
-        counts: dict[int, int] = {}
-        for k in degrees:
-            counts[k] = counts.get(k, 0) + 1
+        counts = Counter(degrees)
         return cls({k: c / len(degrees) for k, c in counts.items()})
 
     def __eq__(self, other: object) -> bool:
@@ -263,8 +262,11 @@ def load_edge_list(source: str | IO[str] | Iterable[str],
     """Parse whitespace-separated node-id pairs, one edge per line.
 
     Blank lines and lines starting with '#' are skipped. Node ids may be
-    arbitrary integers; they are remapped to dense 0..n-1 ids in first-seen
-    order and the original ids kept in Graph.labels.
+    arbitrary integers; the original ids are kept in Graph.labels. They are
+    remapped to dense ids 0..n-1: in first-seen order when the whole graph is
+    kept, and with the default largest-component cleanup in the order
+    connected_components discovers the component, starting from its
+    first-seen node. Seeded runs on a file depend on this numbering.
     """
     if options is None:
         options = LoadOptions()
@@ -273,48 +275,59 @@ def load_edge_list(source: str | IO[str] | Iterable[str],
             return load_edge_list(fh, options)
 
     index: dict[int, int] = {}
-    labels: list[int] = []
-    pairs: list[tuple[int, int]] = []
-
-    def intern(token: str, lineno: int) -> int:
-        try:
-            raw = int(token)
-        except ValueError:
-            raise GraphFormatError(f"line {lineno}: non-integer node id {token!r}") from None
-        node = index.get(raw)
-        if node is None:
-            node = len(labels)
-            index[raw] = node
-            labels.append(raw)
-        return node
-
+    ends: list[int] = []  # dense ids, two per edge in file order
+    intern, put = index.setdefault, ends.append
     for lineno, line in enumerate(source, start=1):
-        text = line.strip()
-        if not text or text.startswith("#"):
+        parts = line.split()
+        if not parts or parts[0][0] == "#":
             continue
-        parts = text.split()
         if len(parts) != 2:
             raise GraphFormatError(f"line {lineno}: expected two node ids, got {len(parts)} tokens")
-        pairs.append((intern(parts[0], lineno), intern(parts[1], lineno)))
+        try:  # token ends up naming the first id that fails to parse
+            u, v = int(token := parts[0]), int(token := parts[1])
+        except ValueError:
+            raise GraphFormatError(f"line {lineno}: non-integer node id {token!r}") from None
+        put(intern(u, len(index)))
+        put(intern(v, len(index)))
+    labels = list(index)
+    del index, intern, put  # the bound methods would keep the dict and list alive
+    n = len(labels)
+    if n == 0:
+        raise ValueError("empty graph after preprocessing")
 
-    if options.drop_self_loops:
-        pairs = [(u, v) for u, v in pairs if u != v]
+    ids = list(range(n))  # divmod makes a new int per entry; ids[v] shares one per node
+    adj: list[list[int]] = [[] for _ in ids]
+    keep_loops = not options.drop_self_loops
+    pairs = iter(ends)
     if options.collapse_duplicates:
-        seen: set[tuple[int, int]] = set()
-        unique = []
-        for u, v in pairs:
-            key = (u, v) if u <= v else (v, u)
-            if key not in seen:
-                seen.add(key)
-                unique.append(key)
-        pairs = unique
+        # key min*n + max names an undirected edge; dict.fromkeys keeps first-seen order
+        edges = dict.fromkeys(u * n + v if u <= v else v * n + u
+                              for u, v in zip(pairs, pairs) if keep_loops or u != v)
+        del ends, pairs
+        for key in edges:
+            u, v = divmod(key, n)
+            adj[u].append(ids[v])
+            adj[v].append(ids[u])  # u == v appends twice: a self-loop adds 2 to the degree
+        del edges
+    else:
+        for u, v in zip(pairs, pairs):
+            if keep_loops or u != v:
+                adj[u].append(v)
+                adj[v].append(u)
+        del ends, pairs
 
-    g = Graph.from_edges(len(labels), pairs, labels)
+    g = Graph(adj, labels)
     if options.largest_component:
-        if g.node_count == 0:
-            raise ValueError("empty graph after preprocessing")
-        g = induced_subgraph(g, largest_component_nodes(g))
-    if g.node_count == 0 or g.edge_count == 0:
+        # a component is closed under adjacency, so its lists need no
+        # membership test; g is local to this call, so they are relabelled in place
+        component = largest_component_nodes(g)
+        pos = [0] * n
+        for i, v in enumerate(component):
+            pos[v] = i
+        for v in component:
+            adj[v] = [pos[w] for w in adj[v]]
+        g = Graph([adj[v] for v in component], [labels[v] for v in component])
+    if g.edge_count == 0:
         raise ValueError("empty graph after preprocessing")
     return g
 

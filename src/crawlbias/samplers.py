@@ -119,17 +119,15 @@ def bfs(g: Graph, seed: int, budget: int) -> SampleTrace:
     seen = bytearray(g.node_count)
     seen[seed] = 1
     order = [seed]
-    q = deque([seed])
-    while q and len(order) < budget:
-        u = q.popleft()
+    for u in order:  # order is the FIFO queue too: the loop reaches what is appended
+        if len(order) == budget:
+            break
         for w in adj[u]:
             if seen[w]:
                 continue
             seen[w] = 1
             order.append(w)
-            q.append(w)
             if len(order) == budget:
-                q.clear()
                 break
     return _make_trace("bfs", g, seed, order, False)
 

@@ -1,7 +1,9 @@
 """Graph container, degree accounting, and edge-list loading."""
 
 import io
+import itertools
 import math
+import random
 
 import pytest
 
@@ -9,6 +11,7 @@ from crawlbias import (DegreeDistribution, Graph, GraphFormatError, LoadOptions,
                        assortativity, ball, connected_components, degree_distribution,
                        induced_subgraph, largest_component_nodes, load_edge_list, moments,
                        stats_row)
+from crawlbias.experiments import ExperimentConfig, GraphSource, TechniqueSpec, _shared_setup
 
 
 def test_from_edges_counts_self_loop_twice():
@@ -155,6 +158,118 @@ def test_load_edge_list_errors():
         load_edge_list(io.StringIO("a b\n"))
     with pytest.raises(ValueError):
         load_edge_list(io.StringIO("0 0\n"))  # empty after cleanup
+    # the first bad token of the first bad line wins, as in the reference loader
+    for text, message in [
+        ("0 1\n1 x\n", "line 2: non-integer node id 'x'"),
+        ("0 1\n# note\n\ny 2 3\n1 2 3\n", "line 4: expected two node ids, got 3 tokens"),
+        ("0 1\n\ta 2\n1 2 3\n", "line 2: non-integer node id 'a'"),
+    ]:
+        for options in (None, RAW):
+            with pytest.raises(GraphFormatError) as err:
+                load_edge_list(io.StringIO(text), options)
+            assert str(err.value) == message
+            with pytest.raises(GraphFormatError) as ref:
+                _reference_load_edge_list(io.StringIO(text), options)
+            assert str(ref.value) == message
+
+
+def _reference_load_edge_list(source, options=None):
+    """The earlier tuple-based loader: pair tuples, a seen set, then induced_subgraph.
+
+    load_edge_list must give the same adjacency, labels and errors.
+    """
+    if options is None:
+        options = LoadOptions()
+    index, labels, pairs = {}, [], []
+
+    def intern(token, lineno):
+        try:
+            raw = int(token)
+        except ValueError:
+            raise GraphFormatError(f"line {lineno}: non-integer node id {token!r}") from None
+        if raw not in index:
+            index[raw] = len(labels)
+            labels.append(raw)
+        return index[raw]
+
+    for lineno, line in enumerate(source, start=1):
+        text = line.strip()
+        if not text or text.startswith("#"):
+            continue
+        parts = text.split()
+        if len(parts) != 2:
+            raise GraphFormatError(f"line {lineno}: expected two node ids, got {len(parts)} tokens")
+        pairs.append((intern(parts[0], lineno), intern(parts[1], lineno)))
+    if options.drop_self_loops:
+        pairs = [(u, v) for u, v in pairs if u != v]
+    if options.collapse_duplicates:
+        seen, unique = set(), []
+        for u, v in pairs:
+            key = (u, v) if u <= v else (v, u)
+            if key not in seen:
+                seen.add(key)
+                unique.append(key)
+        pairs = unique
+    g = Graph.from_edges(len(labels), pairs, labels)
+    if options.largest_component:
+        if g.node_count == 0:
+            raise ValueError("empty graph after preprocessing")
+        g = induced_subgraph(g, largest_component_nodes(g))
+    if g.node_count == 0 or g.edge_count == 0:
+        raise ValueError("empty graph after preprocessing")
+    return g
+
+
+def _messy_edge_list(rng):
+    """Comments, blank lines, tabs, self-loops, reversed duplicates and sparse
+    negative and huge labels, over several components."""
+    lines = ["# header", ""]
+    for _ in range(rng.randint(1, 4)):  # each block is one component or more
+        labels = [rng.choice([rng.randint(-10**6, -1), rng.randint(0, 60),
+                              rng.randint(10**15, 10**18)]) for _ in range(rng.randint(1, 25))]
+        for _ in range(rng.randint(1, 40)):
+            u, v = rng.choice(labels), rng.choice(labels)
+            pick = rng.random()
+            if pick < 0.1:
+                lines.append(f"{u}\t{u}")
+            elif pick < 0.25:
+                lines.append(f" {v}  {u} ")
+            elif pick < 0.3:
+                lines.append(rng.choice(["", "  \t", f"# {u} {v}", f"  #{u}"]))
+            lines.append(f"{u} {v}")
+    return "\n".join(lines) + rng.choice(["", "\n"])
+
+
+def _load_outcome(loader, text, options):
+    try:
+        g = loader(io.StringIO(text), options)
+    except ValueError as exc:  # GraphFormatError included
+        return type(exc), str(exc)
+    return g.adjacency, g.labels, g.edge_count
+
+
+def test_load_edge_list_matches_reference_loader():
+    rng = random.Random(20261018)
+    all_options = [None] + [LoadOptions(*flags)
+                            for flags in itertools.product([False, True], repeat=3)]
+    loaded = 0
+    for _ in range(80):
+        text = _messy_edge_list(rng)
+        for options in all_options:
+            outcome = _load_outcome(load_edge_list, text, options)
+            assert outcome == _load_outcome(_reference_load_edge_list, text, options)
+            loaded += isinstance(outcome[0], list)
+    assert loaded > 600  # most inputs load under every option set
+
+
+def test_shared_setup_component_is_the_loaded_graph(tmp_path):
+    edge_file = tmp_path / "g.txt"
+    edge_file.write_text(_messy_edge_list(random.Random(5)) + "\n900 901\n")
+    cfg = ExperimentConfig(source=GraphSource("file", path=str(edge_file)),
+                           techniques=[TechniqueSpec("bfs")], f_grid=[0.5], replicas=1,
+                           master_seed=0)
+    g, component = _shared_setup(cfg)
+    assert component == sorted(largest_component_nodes(g)) == list(range(g.node_count))
 
 
 def test_stats_row_fields():
