@@ -21,8 +21,9 @@ from .graph import (DegreeDistribution, Graph, GraphFormatError, LoadOptions, RA
                     largest_component_nodes, load_edge_list, moments, stats_row)
 from .samplers import (FIFO, LIFO, QueueDiscipline, SampleTrace, StubAssignment,
                        assign_stub_indices, bfs, dfs, forest_fire, mhrw, random_walk,
-                       randomized_fifo, snowball, stub_level_traversal, trace_from_csv,
-                       trace_to_csv, weighted_without_replacement)
+                       randomized_fifo, snowball, stub_level_traversal,
+                       weighted_without_replacement)
+from .experiments import trace_from_csv, trace_to_csv
 
 __version__ = "0.1.0"
 

@@ -15,10 +15,9 @@ from contextlib import contextmanager
 
 from . import analytic, experiments
 from .estimators import ConvergenceError, bfs_correct, mhrw_correct, rw_correct
-from .generate import configuration_model, degree_sequence_from_distribution, rewire_to_assortativity
 from .graph import GraphFormatError, RAW, degree_distribution, load_edge_list, stats_row
-from .samplers import trace_from_csv, trace_to_csv, weighted_without_replacement
-from .experiments import ConfigError
+from .samplers import weighted_without_replacement
+from .experiments import ConfigError, GraphSource, trace_from_csv, trace_to_csv
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -133,12 +132,9 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
-    d = experiments._parse_pk_maybe_json(args.pk)
-    rng = random.Random(args.rng_seed)
-    seq = degree_sequence_from_distribution(d, args.nodes)
-    g = configuration_model(seq, rng)
-    if args.assortativity is not None:
-        g = rewire_to_assortativity(g, args.assortativity, rng).graph
+    source = GraphSource("generate", pk=args.pk, nodes=args.nodes,
+                         target_assortativity=args.assortativity)
+    g = experiments._build_graph(source, random.Random(args.rng_seed))
     with _open_out(args.out) as out:
         out.write(f"# pk {args.pk} nodes {args.nodes} rng_seed {args.rng_seed}\n")
         for u, v in g.edges():
@@ -151,12 +147,10 @@ def cmd_sample(args: argparse.Namespace) -> int:
     if args.edgelist:
         g = load_edge_list(args.edgelist, RAW if args.raw else None)
     else:
-        if args.nodes < 1:
-            raise ConfigError("--pk needs --nodes")
-        d = experiments._parse_pk_maybe_json(args.pk)
-        seq = degree_sequence_from_distribution(d, args.nodes)
-        g = configuration_model(seq, rng)
-    tech = experiments.TechniqueSpec(args.technique, p=args.ff_p, names=args.sbs_n)
+        g = experiments._build_graph(GraphSource("generate", pk=args.pk, nodes=args.nodes), rng)
+    tech = experiments.TechniqueSpec(args.technique,
+                                     p=args.ff_p if args.technique == "ff" else None,
+                                     names=args.sbs_n if args.technique == "sbs" else None)
     if args.seed_node is not None:
         try:
             component = [g.labels.index(args.seed_node)]
@@ -185,7 +179,7 @@ def cmd_curves(args: argparse.Namespace) -> int:
     if cfg.mode == "analytic":
         # nothing is simulated, so a generated source keeps its continuous law
         if cfg.source.kind == "generate":
-            law = experiments._parse_pk_maybe_json(cfg.source.pk)
+            law = experiments.parse_pk_spec(cfg.source.pk)
         else:
             law = degree_distribution(load_edge_list(cfg.source.path))
         rows = analytic.curve_rows(law, cfg.f_grid)
@@ -235,6 +229,9 @@ def cmd_correct(args: argparse.Namespace) -> int:
 
 def cmd_compare(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
+    if cfg.mode != "compare":
+        raise ConfigError(f"mode {cfg.mode!r} is not the compare mode; "
+                          "use the curves subcommand for it")
     rows = experiments.run_compare(cfg)
     with _open_out(args.out) as out:
         experiments.write_rows_csv(rows, experiments.COMPARE_COLUMNS, out,

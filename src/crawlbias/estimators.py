@@ -4,9 +4,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
-from .analytic import _inclusion, f_of_t
+from .analytic import _inclusion
 from .graph import DegreeDistribution, Graph, ball
 from .samplers import SampleTrace, bfs
 
@@ -65,14 +65,21 @@ def rw_correct(trace: SampleTrace, x: Sequence[float] | None = None) -> Estimati
         raise ValueError("empty trace")
     if any(k <= 0 for k in trace.degrees):
         raise ValueError("zero-degree record: 1/k weight undefined")
-    xs = _resolve_x(trace, x)
-    q = empirical_q(trace)
-    weight = {k: 1.0 / k for k in q.support()}  # once per degree, not per record
+    return _reweight("rw-corrected", trace, x, empirical_q(trace), lambda k: k)
+
+
+def _reweight(technique: str, trace: SampleTrace, x: Sequence[float] | None,
+              q: DegreeDistribution, inclusion: Callable[[int], float],
+              **diagnostics: object) -> EstimationReport:
+    """Hajek ratio under per-degree inclusion weights pi_k = inclusion(k): a
+    degree-k record weighs 1/pi_k and p_hat_k is proportional to q_k / pi_k
+    (Sarndal, Swensson & Wretman 1992, ch. 5)."""
+    pi = {k: inclusion(k) for k in q.support()}
+    weight = {k: 1.0 / w for k, w in pi.items()}  # once per degree, not per record
     inv = [weight[k] for k in trace.degrees]
-    denom = sum(inv)
-    est = sum(xv * w for xv, w in zip(xs, inv)) / denom
-    p_hat = DegreeDistribution({k: qk / k for k, qk in q.items()}, normalize=True)
-    return EstimationReport("rw-corrected", est, p_hat, p_hat.mean())
+    est = sum(xv * w for xv, w in zip(_resolve_x(trace, x), inv)) / sum(inv)
+    p_hat = DegreeDistribution({k: qk / pi[k] for k, qk in q.items()}, normalize=True)
+    return EstimationReport(technique, est, p_hat, p_hat.mean(), **diagnostics)
 
 
 def mhrw_correct(trace: SampleTrace, x: Sequence[float] | None = None) -> EstimationReport:
@@ -109,11 +116,12 @@ def bfs_correct(trace: SampleTrace, f_real: float, x: Sequence[float] | None = N
     """Correct an early traversal sample using its known coverage f_real.
 
     The scan time t is not observable, but it is pinned by consistency: the
-    corrected distribution p_hat(t) must predict the observed coverage,
-    f(p_hat(t), t) = f_real. That residual is negative near t = 0 and equals
-    1 - f_real at t = 1, so a sign-changing bracket always exists and
-    bisection locates t*. Records are then weighted by
-    1 / (1 - (1-t*)^k_v) and averaged as a ratio estimator.
+    corrected distribution p_hat(t), proportional to q_hat_k / pi_k(t) with
+    pi_k(t) = 1 - (1-t)^k, must predict the observed coverage, and fed forward
+    it predicts f(p_hat(t), t) = 1 / sum_k q_hat_k / pi_k(t). Its residual
+    against f_real is negative near t = 0 and equals 1 - f_real at t = 1, so
+    a sign-changing bracket always exists and bisection locates t*. Records
+    are then weighted by 1 / pi_k(t*) and averaged as a ratio estimator.
     """
     if trace.with_replacement:
         raise ValueError("coverage-based correction needs a without-replacement trace")
@@ -126,7 +134,7 @@ def bfs_correct(trace: SampleTrace, f_real: float, x: Sequence[float] | None = N
     q_hat = empirical_q(trace)
 
     def residual(t: float) -> float:
-        return f_of_t(bfs_correct_at_t(q_hat, t), t) - f_real
+        return 1.0 / sum(qk / _inclusion(t, k) for k, qk in q_hat.items()) - f_real
 
     t_star, res_star = 1.0, residual(1.0)
     iterations = 1
@@ -142,15 +150,8 @@ def bfs_correct(trace: SampleTrace, f_real: float, x: Sequence[float] | None = N
             lo = t_star
         else:
             hi = t_star
-
-    p_hat = bfs_correct_at_t(q_hat, t_star)
-    xs = _resolve_x(trace, x)
-    weight = {k: 1.0 / _inclusion(t_star, k) for k in q_hat.support()}
-    inv = [weight[k] for k in trace.degrees]
-    denom = sum(inv)
-    est = sum(xv * w for xv, w in zip(xs, inv)) / denom
-    return EstimationReport("bfs-corrected", est, p_hat, p_hat.mean(),
-                            iterations=iterations, t_value=t_star, residual=res_star)
+    return _reweight("bfs-corrected", trace, x, q_hat, lambda k: _inclusion(t_star, k),
+                     iterations=iterations, t_value=t_star, residual=res_star)
 
 
 # --- arbitrary-topology unbiased totals ------------------------------------

@@ -7,16 +7,15 @@ import hashlib
 import json
 import random
 from dataclasses import dataclass, field, replace
-from typing import IO, Callable, Mapping, Sequence
+from typing import IO, Callable, Iterable, Mapping, Sequence
 
 from . import analytic
 from .estimators import ConvergenceError, bfs_correct, rmse_compare, rw_correct
 from .generate import configuration_model, degree_sequence_from_distribution, rewire_to_assortativity
 from .graph import (DegreeDistribution, Graph, assortativity, degree_distribution,
                     largest_component_nodes, load_edge_list)
-from .samplers import (FIFO, SampleTrace, _check_start, assign_stub_indices, bfs, dfs,
-                       forest_fire, mhrw, random_walk, snowball, stub_level_traversal,
-                       weighted_without_replacement)
+from .samplers import (SampleTrace, _check_start, bfs, dfs, forest_fire, mhrw, random_walk,
+                       snowball, weighted_without_replacement)
 
 
 class ConfigError(ValueError):
@@ -39,14 +38,15 @@ def parse_pk_spec(spec: object) -> DegreeDistribution:
     regular:K              all nodes degree K
     bimodal:K1:K2:W1       degree K1 with fraction W1, K2 with 1-W1
     powerlaw:G:KMIN:KMAX   p_k proportional to k^-G on KMIN..KMAX
-    {"1": 0.5, "3": 0.5}   explicit fractions (JSON object)
+    {"1": 0.5, "3": 0.5}   explicit fractions (JSON object, or a string holding one)
     """
-    if isinstance(spec, Mapping):
-        return DegreeDistribution({int(k): float(p) for k, p in spec.items()})
-    if not isinstance(spec, str):
+    if not isinstance(spec, (str, Mapping)):
         raise ConfigError(f"cannot parse degree distribution from {spec!r}")
-    parts = spec.split(":")
     try:
+        doc = json.loads(spec) if isinstance(spec, str) and spec.lstrip().startswith("{") else spec
+        if isinstance(doc, Mapping):
+            return DegreeDistribution({int(k): float(p) for k, p in doc.items()})
+        parts = doc.split(":")
         if parts[0] == "regular" and len(parts) == 2:
             return DegreeDistribution({int(parts[1]): 1.0})
         if parts[0] == "bimodal" and len(parts) == 4:
@@ -54,7 +54,7 @@ def parse_pk_spec(spec: object) -> DegreeDistribution:
             return DegreeDistribution({k1: w1, k2: 1.0 - w1})
         if parts[0] == "powerlaw" and len(parts) == 4:
             return truncated_power_law(float(parts[1]), int(parts[2]), int(parts[3]))
-    except (ValueError, ConfigError) as exc:
+    except (TypeError, ValueError) as exc:  # JSONDecodeError and ConfigError are ValueErrors
         raise ConfigError(f"bad degree distribution spec {spec!r}: {exc}") from None
     raise ConfigError(f"bad degree distribution spec {spec!r}")
 
@@ -79,10 +79,20 @@ class TechniqueSpec:
     def __post_init__(self) -> None:
         if self.name not in self._KNOWN:
             raise ConfigError(f"unknown technique {self.name!r}")
-        if self.name == "ff" and self.p is None:
-            raise ConfigError("technique ff needs its spread probability p")
-        if self.name == "sbs" and self.names is None:
-            raise ConfigError("technique sbs needs its referral count")
+        if self.name == "ff":
+            if (isinstance(self.p, bool) or not isinstance(self.p, (int, float))
+                    or not 0.0 < self.p <= 1.0):
+                raise ConfigError(f"technique ff needs its spread probability p, "
+                                  f"a number in (0, 1], got {self.p!r}")
+        elif self.p is not None:
+            raise ConfigError(f"technique {self.name} takes no spread probability p")
+        if self.name == "sbs":
+            if (isinstance(self.names, bool) or not isinstance(self.names, int)
+                    or self.names < 1):
+                raise ConfigError(f"technique sbs needs its referral count names, "
+                                  f"an integer >= 1, got {self.names!r}")
+        elif self.names is not None:
+            raise ConfigError(f"technique {self.name} takes no referral count names")
 
     @property
     def tag(self) -> str:
@@ -224,16 +234,10 @@ def load_config(path: str) -> ExperimentConfig:
     return ExperimentConfig.from_json(doc)
 
 
-def _parse_pk_maybe_json(spec: str) -> DegreeDistribution:
-    if spec.lstrip().startswith("{"):
-        return parse_pk_spec(json.loads(spec))
-    return parse_pk_spec(spec)
-
-
 def _build_graph(source: GraphSource, rng: random.Random) -> Graph:
     if source.kind == "file":
         return load_edge_list(source.path)
-    d = _parse_pk_maybe_json(source.pk)
+    d = parse_pk_spec(source.pk)
     seq = degree_sequence_from_distribution(d, source.nodes)
     g = configuration_model(seq, rng)
     if source.target_assortativity is not None:
@@ -245,8 +249,10 @@ def run_technique(g: Graph, component: Sequence[int], tech: TechniqueSpec,
                   budget: int, rng: random.Random) -> SampleTrace:
     """One sampling run; the start node is uniform over the largest component.
 
-    wwor still consumes the start-node draw (seeded outputs depend on it) but
-    does not crawl from it, so its trace's seed_node is its first draw.
+    wwor and stub race the graph's degrees instead of crawling it. wwor still
+    consumes the start-node draw (seeded outputs depend on it) but does not use
+    it, so its seed_node is its first draw; stub puts the start node first and
+    keeps the others in race order, which is stub_level_traversal's order.
     """
     seed = component[rng.randrange(len(component))]
     if tech.name == "bfs":
@@ -261,19 +267,15 @@ def run_technique(g: Graph, component: Sequence[int], tech: TechniqueSpec,
         return random_walk(g, seed, budget, rng)
     if tech.name == "mhrw":
         return mhrw(g, seed, budget, rng)
-    if tech.name == "wwor":
-        _check_start(g, seed, budget)
-        degs = g.degrees()
-        nodes = weighted_without_replacement(degs, min(budget, g.node_count), rng)
-        if not nodes:
-            raise ValueError("graph has no edges to draw from")
-        return SampleTrace("wwor", nodes[0], nodes, [degs[v] for v in nodes], False,
-                           len(set(nodes)) / g.node_count)
-    # stub: simulate on this graph's degree sequence under a fresh matching
+    _check_start(g, seed, budget)
     degs = g.degrees()
-    assignment = assign_stub_indices(degs, rng)
-    _, trace = stub_level_traversal(degs, assignment, seed, FIFO, budget, restart=True)
-    return trace
+    nodes = weighted_without_replacement(degs, min(budget, g.node_count), rng)
+    if tech.name == "stub":
+        nodes = [seed, *(v for v in nodes if v != seed)][:budget]
+    if not nodes:
+        raise ValueError("graph has no edges to draw from")
+    return SampleTrace(tech.name, nodes[0], nodes, [degs[v] for v in nodes], False,
+                       len(set(nodes)) / g.node_count)
 
 
 # --- one replica pipeline ------------------------------------------------------
@@ -312,7 +314,7 @@ def _reference_law(cfg: ExperimentConfig, shared: Setup | None) -> DegreeDistrib
     """
     if cfg.source.kind == "file":
         return degree_distribution(shared[0])
-    pk = _parse_pk_maybe_json(cfg.source.pk)
+    pk = parse_pk_spec(cfg.source.pk)
     return DegreeDistribution.from_sequence(degree_sequence_from_distribution(pk, cfg.source.nodes))
 
 
@@ -545,6 +547,78 @@ def _fmt_cell(v: object) -> str:
     if isinstance(v, float):
         return f"{v:.12g}"
     return str(v)
+
+
+# --- trace CSV round-trip -------------------------------------------------
+
+def trace_to_csv(trace: SampleTrace, out: IO[str], labels: Sequence[int] | None = None,
+                 rng_seed: int | None = None) -> None:
+    """Write a trace as CSV with one '#' metadata line before the header.
+
+    With labels, node ids (seed_node and the node column) are written as labels[id].
+    """
+    def name(v: int) -> int:
+        return labels[v] if labels is not None else v
+
+    meta = (f"technique={trace.technique} seed_node={name(trace.seed_node)} "
+            f"f={trace.coverage:.12g} with_replacement={str(trace.with_replacement).lower()} "
+            f"revivals={trace.revivals}")
+    if rng_seed is not None:
+        meta += f" rng_seed={rng_seed}"
+    xs = trace.x_values if trace.x_values is not None else [""] * len(trace.nodes)
+    rows = [{"position": i, "node": name(v), "degree": k, "x_value": x}
+            for i, (v, k, x) in enumerate(zip(trace.nodes, trace.degrees, xs))]
+    write_rows_csv(rows, ["position", "node", "degree", "x_value"], out, metadata=[meta])
+
+
+def trace_from_csv(source: str | IO[str] | Iterable[str]) -> SampleTrace:
+    """Read a trace written by trace_to_csv. Node ids are kept as written.
+
+    x_value must be filled on every row or on none.
+    """
+    if isinstance(source, str):
+        with open(source, "r", encoding="utf-8") as fh:
+            return trace_from_csv(fh)
+    meta: dict[str, str] = {}
+    nodes: list[int] = []
+    degrees: list[int] = []
+    xs: list[float | None] = []
+    header_seen = False
+    for line in source:
+        text = line.strip()
+        if not text:
+            continue
+        if text.startswith("#"):
+            for tok in text[1:].split():
+                if "=" in tok:
+                    key, val = tok.split("=", 1)
+                    meta[key] = val
+            continue
+        if not header_seen:
+            header_seen = True  # column header
+            continue
+        parts = text.split(",")
+        if len(parts) != 4:
+            raise ValueError(f"malformed trace row: {text!r}")
+        nodes.append(int(parts[1]))
+        degrees.append(int(parts[2]))
+        xs.append(float(parts[3]) if parts[3] else None)
+    if not nodes:
+        raise ValueError("trace file holds no records")
+    blank = xs.count(None)
+    if 0 < blank < len(xs):
+        raise ValueError(f"x_value is blank on {blank} of {len(xs)} trace rows; "
+                         "fill it on every row or on none")
+    return SampleTrace(
+        technique=meta.get("technique", "unknown"),
+        seed_node=int(meta.get("seed_node", nodes[0])),
+        nodes=nodes,
+        degrees=degrees,
+        with_replacement=meta.get("with_replacement", "false") == "true",
+        coverage=float(meta.get("f", "nan")),
+        x_values=None if blank else xs,
+        revivals=int(meta.get("revivals", 0)),
+    )
 
 
 BIAS_COLUMNS = ["technique", "f", "replicas", "empirical_mean", "empirical_std",

@@ -11,7 +11,7 @@ import random
 from collections import deque
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import IO, Iterable, Sequence
+from typing import Sequence
 
 from .graph import Graph
 
@@ -407,74 +407,3 @@ def stub_level_traversal(degrees: Sequence[int], assignment: StubAssignment, see
     degs = [degrees[v] for v in trace]
     sample = SampleTrace("stub", seed, trace, degs, False, len(trace) / n)
     return realized, sample
-
-
-# --- trace CSV round-trip -------------------------------------------------
-
-def trace_to_csv(trace: SampleTrace, out: IO[str], labels: Sequence[int] | None = None,
-                 rng_seed: int | None = None) -> None:
-    """Write a trace as CSV with '#' metadata lines before the header.
-
-    With labels, node ids (seed_node and the node column) are written as labels[id].
-    """
-    def name(v: int) -> int:
-        return labels[v] if labels is not None else v
-
-    meta = (f"# technique={trace.technique} seed_node={name(trace.seed_node)} "
-            f"f={trace.coverage:.12g} with_replacement={str(trace.with_replacement).lower()} "
-            f"revivals={trace.revivals}")
-    if rng_seed is not None:
-        meta += f" rng_seed={rng_seed}"
-    out.write(meta + "\n")
-    out.write("position,node,degree,x_value\n")
-    for i, (v, k) in enumerate(zip(trace.nodes, trace.degrees)):
-        x = "" if trace.x_values is None else f"{trace.x_values[i]:.12g}"
-        out.write(f"{i},{name(v)},{k},{x}\n")
-
-
-def trace_from_csv(source: str | IO[str] | Iterable[str]) -> SampleTrace:
-    """Read a trace written by trace_to_csv. Node ids are kept as written."""
-    if isinstance(source, str):
-        with open(source, "r", encoding="utf-8") as fh:
-            return trace_from_csv(fh)
-    meta: dict[str, str] = {}
-    nodes: list[int] = []
-    degrees: list[int] = []
-    xs: list[float] = []
-    have_x = False
-    header_seen = False
-    for line in source:
-        text = line.strip()
-        if not text:
-            continue
-        if text.startswith("#"):
-            for tok in text[1:].split():
-                if "=" in tok:
-                    key, val = tok.split("=", 1)
-                    meta[key] = val
-            continue
-        if not header_seen:
-            header_seen = True  # column header
-            continue
-        parts = text.split(",")
-        if len(parts) != 4:
-            raise ValueError(f"malformed trace row: {text!r}")
-        nodes.append(int(parts[1]))
-        degrees.append(int(parts[2]))
-        if parts[3]:
-            have_x = True
-            xs.append(float(parts[3]))
-        else:
-            xs.append(0.0)
-    if not nodes:
-        raise ValueError("trace file holds no records")
-    return SampleTrace(
-        technique=meta.get("technique", "unknown"),
-        seed_node=int(meta.get("seed_node", nodes[0])),
-        nodes=nodes,
-        degrees=degrees,
-        with_replacement=meta.get("with_replacement", "false") == "true",
-        coverage=float(meta.get("f", "nan")),
-        x_values=xs if have_x else None,
-        revivals=int(meta.get("revivals", 0)),
-    )

@@ -8,8 +8,8 @@ import pytest
 from crawlbias import (ConvergenceError, DegreeDistribution, Graph, NeighborhoodScheme,
                        SampleTrace, arbitrary_topology_estimate, ball, bfs, bfs_correct,
                        bfs_correct_at_t, configuration_model, degree_sequence_from_distribution,
-                       empirical_q, largest_component_nodes, mhrw, mhrw_correct, q_k_of_t,
-                       random_walk, rmse_compare, rw_correct)
+                       empirical_q, f_of_t, largest_component_nodes, mhrw, mhrw_correct,
+                       q_k_of_t, random_walk, rmse_compare, rw_correct)
 
 PATH3 = Graph.from_edges(3, [(0, 1), (1, 2)])
 
@@ -188,6 +188,52 @@ def test_bfs_correct_iteration_cap_raises_with_diagnostics():
         bfs_correct(trace, 0.5, max_iter=3)
     assert info.value.iterations == 3
     assert abs(info.value.residual) > 1e-8
+
+
+def _reference_bfs_correct(trace, f_real, tol=1e-8, max_iter=500):
+    """bfs_correct as it was: each bisection step corrects q_hat at t and feeds the
+    corrected law forward through f_of_t."""
+    q_hat = empirical_q(trace)
+
+    def residual(t):
+        return f_of_t(bfs_correct_at_t(q_hat, t), t) - f_real
+
+    t_star, res_star, iterations, lo, hi = 1.0, residual(1.0), 1, 0.0, 1.0
+    while abs(res_star) > tol:
+        assert iterations < max_iter
+        iterations += 1
+        t_star = 0.5 * (lo + hi)
+        res_star = residual(t_star)
+        if res_star < 0.0:
+            lo = t_star
+        else:
+            hi = t_star
+    weight = {k: 1.0 / f_of_t(DegreeDistribution({k: 1.0}), t_star) for k in q_hat.support()}
+    inv = [weight[k] for k in trace.degrees]
+    mean = sum(k * w for k, w in zip(trace.degrees, inv)) / sum(inv)
+    return t_star, iterations, res_star, mean, bfs_correct_at_t(q_hat, t_star)
+
+
+def test_bfs_correct_closed_form_matches_reference_solver():
+    # f(p_hat(t), t) = 1 / sum_k q_k / pi_k(t): the same bisection, one sum per step
+    rng = random.Random(41)
+    laws = (DegreeDistribution({1: 0.5, 4: 0.5}), DegreeDistribution({2: 0.3, 3: 0.4, 9: 0.3}),
+            DegreeDistribution({k: 1 / 8 for k in range(1, 9)}))
+    checked = 0
+    for i, d in enumerate(laws):
+        g = _config_graph(d, 1500, 60 + i)
+        comp = sorted(largest_component_nodes(g))
+        for f in (0.01, 0.05, 0.1, 0.3, 0.6, 0.9):
+            for _ in range(4):
+                trace = bfs(g, comp[rng.randrange(len(comp))], round(f * g.node_count))
+                f_real = len(trace.nodes) / g.node_count
+                rep = bfs_correct(trace, f_real)
+                t_star, iterations, res_star, mean, p_hat = _reference_bfs_correct(trace, f_real)
+                assert rep.t_value == t_star and rep.iterations == iterations
+                assert abs(rep.residual - res_star) <= 1e-14
+                assert rep.mean == mean and rep.distribution == p_hat
+                checked += 1
+    assert checked == 72
 
 
 # --- neighborhood estimators ---------------------------------------------------

@@ -4,17 +4,20 @@ import csv
 import io
 import json
 import math
+import random
+from collections import Counter
 from dataclasses import replace
 
 import pytest
 
-from crawlbias import (DegreeDistribution, cli, degree_sequence_from_distribution,
-                       mean_q_of_f, trace_from_csv)
+from crawlbias import (FIFO, DegreeDistribution, assign_stub_indices, cli, configuration_model,
+                       degree_sequence_from_distribution, exact_step_distribution, mean_q_of_f,
+                       stub_level_traversal, trace_from_csv)
 from crawlbias.experiments import (BIAS_COLUMNS, CORRECTION_COLUMNS, SWEEP_COLUMNS,
                                    ConfigError, ExperimentConfig, GraphSource, TechniqueSpec,
                                    derive_seed, parse_pk_spec, run_assortativity_sweep,
                                    run_bias_curves, run_compare, run_correction_eval,
-                                   truncated_power_law, write_rows_csv)
+                                   run_technique, truncated_power_law, write_rows_csv)
 
 
 def test_derive_seed_is_stable_and_spread():
@@ -34,11 +37,15 @@ def test_parse_pk_spec_forms():
     p = parse_pk_spec("powerlaw:2.5:2:50")
     assert p.get(2) > p.get(3) > p.get(50) > 0
     assert parse_pk_spec({"1": 0.5, "3": 0.5}).get(3) == pytest.approx(0.5)
+    assert parse_pk_spec(' {"1": 0.5, "3": 0.5}') == parse_pk_spec({"1": 0.5, "3": 0.5})
 
 
 def test_parse_pk_spec_errors():
     for bad in ("regular", "bimodal:1:2", "powerlaw:2.5:0:50", "triangle:3", 17):
         with pytest.raises(ConfigError):
+            parse_pk_spec(bad)
+    for bad in ('{"2": 0.5, "3": ', '{"2": null}', '{"a": 1.0}', {"2": [0.5]}, {"2": 0.9}):
+        with pytest.raises(ConfigError, match="bad degree distribution spec"):
             parse_pk_spec(bad)
 
 
@@ -58,6 +65,22 @@ def test_technique_spec_tags_and_validation():
         TechniqueSpec("sbs")                     # missing names
     with pytest.raises(ConfigError):
         TechniqueSpec("teleport")
+    assert TechniqueSpec("ff", p=1).tag == "ff:p=1"
+    # a parameter must have its type and range, and only its own technique takes it
+    for name, kwargs, field_name in (("sbs", {"names": 1.5}, "names"),
+                                     ("sbs", {"names": True}, "names"),
+                                     ("sbs", {"names": 0}, "names"),
+                                     ("ff", {"p": "0.5"}, "p"),
+                                     ("ff", {"p": True}, "p"),
+                                     ("ff", {"p": 1.5}, "p"),
+                                     ("ff", {"p": 0.0}, "p"),
+                                     ("ff", {"p": float("nan")}, "p"),
+                                     ("bfs", {"p": 0.3}, "p"),
+                                     ("wwor", {"names": 2}, "names"),
+                                     ("ff", {"p": 0.5, "names": 2}, "names"),
+                                     ("sbs", {"names": 2, "p": 0.5}, "p")):
+        with pytest.raises(ConfigError, match=rf"\b{field_name}\b"):
+            TechniqueSpec(name, **kwargs)
 
 
 def test_config_from_json_and_validation():
@@ -89,6 +112,11 @@ def test_config_from_json_and_validation():
         lambda d: d["graph"].__setitem__("file", "g.txt"),
         lambda d: d["graph"]["generate"].__setitem__("node", 100),
         lambda d: d["techniques"][1].__setitem__("prob", 0.5),
+        # technique parameters are checked when the config is read, not in a replica
+        lambda d: d["techniques"][1].__setitem__("p", "0.5"),
+        lambda d: d["techniques"][1].__setitem__("p", 1.5),
+        lambda d: d["techniques"].append({"name": "sbs", "names": 1.5}),
+        lambda d: d["techniques"].append({"name": "bfs", "p": 0.3}),
     ):
         bad = json.loads(json.dumps(doc))
         mutate(bad)
@@ -233,6 +261,40 @@ def test_write_rows_csv_quoting_and_floats():
 
 # --- CLI ---------------------------------------------------------------------
 
+def _stub_scan_reference(g, component, budget, rng):
+    """run_technique's stub branch as it was: a full stub-level scan on a fresh matching."""
+    seed = component[rng.randrange(len(component))]
+    degs = g.degrees()
+    _, trace = stub_level_traversal(degs, assign_stub_indices(degs, rng), seed, FIFO, budget,
+                                    restart=True)
+    return trace
+
+
+def test_run_technique_stub_follows_stub_scan_law():
+    # after its seed, the stub scan discovers the other nodes by degree-weighted draws
+    # without replacement, which is the law of draws 1..3 with the seed's degree zeroed
+    degrees = [1, 1, 2, 2, 3, 3, 4, 6]
+    seed = 2
+    g = configuration_model(degrees, random.Random(0))
+    assert g.degrees() == degrees
+    zeroed = [0 if v == seed else k for v, k in enumerate(degrees)]
+    exact = [exact_step_distribution(zeroed, step) for step in (1, 2, 3)]
+    runs = 40000
+    stub = TechniqueSpec("stub")
+    for run, rng in ((lambda r: run_technique(g, [seed], stub, 4, r), random.Random(5)),
+                     (lambda r: _stub_scan_reference(g, [seed], 4, r), random.Random(6))):
+        counts = [Counter() for _ in range(3)]
+        for _ in range(runs):
+            trace = run(rng)
+            assert trace.nodes[0] == trace.seed_node == seed
+            assert len(trace.nodes) == 4
+            for tally, v in zip(counts, trace.nodes[1:]):
+                tally[v] += 1
+        for tally, law in zip(counts, exact):
+            for v in range(len(degrees)):
+                assert abs(tally[v] / runs - law[v]) < 0.01
+
+
 def _run_cli(args):
     return cli.main(args)
 
@@ -273,7 +335,7 @@ def test_cli_sample_from_pk(tmp_path):
 def test_cli_sample_seed_node_is_a_file_id(tmp_path, capsys):
     edge_file = tmp_path / "g.txt"
     edge_file.write_text("43 7\n7 12\n12 43\n5 43\n90 5\n")  # dense ids 0..4 differ from these
-    for technique in ("bfs", "ff", "sbs"):
+    for technique in ("bfs", "ff", "sbs", "stub"):
         trace_file = tmp_path / f"{technique}.csv"
         assert _run_cli(["sample", "--edgelist", str(edge_file), "--technique", technique,
                          "--budget", "5", "--seed-node", "12", "--out", str(trace_file)]) == 0
@@ -384,7 +446,7 @@ def test_cli_compare_mode(tmp_path):
     assert "arb-half_radius" in methods and "bfs-corrected" in methods
 
 
-def test_cli_exit_codes(tmp_path):
+def test_cli_exit_codes(tmp_path, capsys):
     assert _run_cli(["stats", str(tmp_path / "missing.txt")]) == 2
     bad = tmp_path / "bad.json"
     bad.write_text("not json")
@@ -404,6 +466,19 @@ def test_cli_exit_codes(tmp_path):
     # ... and a graph without edges, which has no first draw
     assert _run_cli(["sample", "--pk", '{"0": 0.9, "2": 0.1}', "--nodes", "1",
                      "--technique", "wwor", "--budget", "1", "--seed-node", "0"]) == 2
+    # compare runs a compare config only, as curves runs no compare config
+    bad.write_text(json.dumps({"graph": {"generate": {"pk": "regular:3", "nodes": 50}},
+                               "techniques": ["bfs"], "f_grid": [0.5], "mode": "bias"}))
+    assert _run_cli(["compare", "--config", str(bad)]) == 2
+    capsys.readouterr()
+    # a malformed JSON pk is named as a bad spec
+    assert _run_cli(["generate", "--pk", '{"2": 0.5, "3": ', "--nodes", "5"]) == 2
+    assert "bad degree distribution spec" in capsys.readouterr().err
+    # sample hands --ff-p to ff only, so its default never reaches another technique,
+    # and an out-of-range value fails as a config error
+    assert _run_cli(["sample", "--pk", "regular:3", "--nodes", "20", "--technique", "ff",
+                     "--ff-p", "1.5", "--budget", "4"]) == 2
+    assert "spread probability p" in capsys.readouterr().err
 
 
 def test_cli_trace_metadata_carries_coverage(tmp_path):

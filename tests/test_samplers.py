@@ -494,3 +494,6 @@ def test_trace_csv_rejects_garbage():
         trace_from_csv(io.StringIO("position,node,degree,x_value\n0,1\n"))
     with pytest.raises(ValueError):
         trace_from_csv(io.StringIO(""))
+    # x_value filled on some rows and blank on others is not read as zeros
+    with pytest.raises(ValueError, match="x_value"):
+        trace_from_csv(io.StringIO("position,node,degree,x_value\n0,1,2,5\n1,2,3,\n2,3,2,7\n"))
