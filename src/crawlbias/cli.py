@@ -83,8 +83,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="nodes to collect (steps, for walks)")
     p.add_argument("--seed-node", type=int, default=None,
                    help="start node, by its id in the edge list (default: degree-weighted draw)")
-    p.add_argument("--ff-p", type=float, default=0.5, help="spread probability for ff")
-    p.add_argument("--sbs-n", type=int, default=2, help="referrals per node for sbs")
+    p.add_argument("--ff-p", type=float, default=None,
+                   help="spread probability, ff only (default 0.5)")
+    p.add_argument("--sbs-n", type=int, default=None,
+                   help="referrals per node, sbs only (default 2)")
     p.add_argument("--raw", action="store_true")
     p.set_defaults(func=cmd_sample)
 
@@ -143,14 +145,19 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 def cmd_sample(args: argparse.Namespace) -> int:
+    for flag, value, owner in (("--ff-p", args.ff_p, "ff"), ("--sbs-n", args.sbs_n, "sbs")):
+        if value is not None and args.technique != owner:
+            raise ConfigError(f"{flag} applies to --technique {owner} only, "
+                              f"not {args.technique}")
     rng = random.Random(args.rng_seed)
     if args.edgelist:
         g = load_edge_list(args.edgelist, RAW if args.raw else None)
     else:
         g = experiments._build_graph(GraphSource("generate", pk=args.pk, nodes=args.nodes), rng)
-    tech = experiments.TechniqueSpec(args.technique,
-                                     p=args.ff_p if args.technique == "ff" else None,
-                                     names=args.sbs_n if args.technique == "sbs" else None)
+    tech = experiments.TechniqueSpec(
+        args.technique,  # only the technique's own flag is left set
+        p=0.5 if args.ff_p is None and args.technique == "ff" else args.ff_p,
+        names=2 if args.sbs_n is None and args.technique == "sbs" else args.sbs_n)
     if args.seed_node is not None:
         try:
             component = [g.labels.index(args.seed_node)]

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from operator import mul
 from typing import Callable, Sequence
 
 from .analytic import _inclusion
@@ -39,12 +40,13 @@ def empirical_q(trace: SampleTrace) -> DegreeDistribution:
     return DegreeDistribution.from_sequence(trace.degrees)
 
 
-def _resolve_x(trace: SampleTrace, x: Sequence[float] | None) -> list[float]:
-    # explicit argument wins; then values carried on the trace; then degrees
+def _resolve_x(trace: SampleTrace, x: Sequence[float] | None) -> Sequence[float]:
+    # explicit argument wins; then values carried on the trace; then degrees,
+    # as ints: k * w and sum(k) / n round exactly as with float(k)
     if x is None:
         x = trace.x_values
     if x is None:
-        return [float(k) for k in trace.degrees]
+        return trace.degrees
     if len(x) != len(trace.nodes):
         raise ValueError("x must supply one value per trace record")
     return [float(v) for v in x]
@@ -63,7 +65,7 @@ def rw_correct(trace: SampleTrace, x: Sequence[float] | None = None) -> Estimati
     """
     if not trace.nodes:
         raise ValueError("empty trace")
-    if any(k <= 0 for k in trace.degrees):
+    if min(trace.degrees) <= 0:
         raise ValueError("zero-degree record: 1/k weight undefined")
     return _reweight("rw-corrected", trace, x, empirical_q(trace), lambda k: k)
 
@@ -76,8 +78,9 @@ def _reweight(technique: str, trace: SampleTrace, x: Sequence[float] | None,
     (Sarndal, Swensson & Wretman 1992, ch. 5)."""
     pi = {k: inclusion(k) for k in q.support()}
     weight = {k: 1.0 / w for k, w in pi.items()}  # once per degree, not per record
-    inv = [weight[k] for k in trace.degrees]
-    est = sum(xv * w for xv, w in zip(_resolve_x(trace, x), inv)) / sum(inv)
+    xs = _resolve_x(trace, x)
+    inv = weight.__getitem__
+    est = sum(map(mul, xs, map(inv, trace.degrees))) / sum(map(inv, trace.degrees))
     p_hat = DegreeDistribution({k: qk / pi[k] for k, qk in q.items()}, normalize=True)
     return EstimationReport(technique, est, p_hat, p_hat.mean(), **diagnostics)
 
@@ -129,7 +132,7 @@ def bfs_correct(trace: SampleTrace, f_real: float, x: Sequence[float] | None = N
         raise ValueError("empty trace")
     if not 0.0 < f_real <= 1.0:
         raise ValueError("f_real must lie in (0, 1]")
-    if any(k <= 0 for k in trace.degrees):
+    if min(trace.degrees) <= 0:
         raise ValueError("zero-degree record cannot be coverage-corrected")
     q_hat = empirical_q(trace)
 

@@ -171,22 +171,27 @@ class ExperimentConfig:
             gen = graph["generate"]
             _check_keys(gen, ("pk", "nodes", "assortativity"), "graph.generate")
             source = GraphSource("generate", pk=_pk_to_str(gen.get("pk")),
-                                 nodes=int(gen.get("nodes", 0)),
-                                 target_assortativity=gen.get("assortativity"))
+                                 nodes=_integer(gen, "nodes", 0),
+                                 target_assortativity=_typed(
+                                     "assortativity", gen.get("assortativity"),
+                                     (int, float, type(None)), "a number or null"))
         else:
-            source = GraphSource("file", path=str(graph["file"]))
-        techniques = [TechniqueSpec.from_json(t) for t in doc.get("techniques", [])]
+            source = GraphSource("file", path=_typed("graph.file", graph["file"], str, "a string"))
+        techniques = [TechniqueSpec.from_json(t)
+                      for t in _typed("techniques", doc.get("techniques", []), list, "a list")]
         return cls(
             source=source,
             techniques=techniques,
-            f_grid=[float(f) for f in doc.get("f_grid", [])],
-            replicas=int(doc.get("replicas", 1)),
-            master_seed=int(doc.get("seed", 0)),
-            workers=int(doc.get("workers", 1)),
+            f_grid=_numbers("f_grid", doc.get("f_grid", [])),
+            replicas=_integer(doc, "replicas", 1),
+            master_seed=_integer(doc, "seed", 0),
+            workers=_integer(doc, "workers", 1),
             mode=str(doc.get("mode", "bias")),
-            assortativity_targets=[float(r) for r in doc.get("assortativity_targets", [])],
-            depth=int(doc.get("depth", 2)),
-            rewire_tolerance=float(doc.get("rewire_tolerance", 0.02)),
+            assortativity_targets=_numbers("assortativity_targets",
+                                           doc.get("assortativity_targets", [])),
+            depth=_integer(doc, "depth", 2),
+            rewire_tolerance=float(_typed("rewire_tolerance", doc.get("rewire_tolerance", 0.02),
+                                          (int, float), "a number")),
         )
 
     def metadata_line(self) -> str:
@@ -215,6 +220,23 @@ def _check_keys(obj: object, known: Sequence[str], where: str) -> None:
     if unknown:
         raise ConfigError(f"unknown key(s) in {where}: {', '.join(map(repr, unknown))}; "
                           f"known keys: {', '.join(known)}")
+
+
+def _typed(key: str, value: object, kinds: type | tuple[type, ...], what: str):
+    """A config value must already have its JSON type: nothing is coerced, and
+    true or false is no number."""
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        raise ConfigError(f"{key} must be {what}, got {value!r}")
+    return value
+
+
+def _integer(doc: Mapping, key: str, default: int) -> int:
+    return _typed(key, doc.get(key, default), int, "an integer")
+
+
+def _numbers(key: str, values: object) -> list[float]:
+    return [float(_typed(f"{key} entry", v, (int, float), "a number"))
+            for v in _typed(key, values, list, "a list")]
 
 
 def _pk_to_str(pk: object) -> str:
@@ -275,7 +297,7 @@ def run_technique(g: Graph, component: Sequence[int], tech: TechniqueSpec,
     if not nodes:
         raise ValueError("graph has no edges to draw from")
     return SampleTrace(tech.name, nodes[0], nodes, [degs[v] for v in nodes], False,
-                       len(set(nodes)) / g.node_count)
+                       len(nodes) / g.node_count)
 
 
 # --- one replica pipeline ------------------------------------------------------

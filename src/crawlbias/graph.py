@@ -266,7 +266,10 @@ def load_edge_list(source: str | IO[str] | Iterable[str],
     remapped to dense ids 0..n-1: in first-seen order when the whole graph is
     kept, and with the default largest-component cleanup in the order
     connected_components discovers the component, starting from its
-    first-seen node. Seeded runs on a file depend on this numbering.
+    first-seen node. Each node lists its neighbours in the file order of the
+    lines naming its edges; with duplicates collapsed, in the order each edge
+    is first seen, a kept self-loop as two entries at its first place. Seeded
+    runs on a file depend on this numbering and order.
     """
     if options is None:
         options = LoadOptions()
@@ -295,38 +298,31 @@ def load_edge_list(source: str | IO[str] | Iterable[str],
     if n == 0:
         raise ValueError("empty graph after preprocessing")
 
-    ids = list(range(n))  # divmod makes a new int per entry; ids[v] shares one per node
-    adj: list[list[int]] = [[] for _ in ids]
+    adj: list[list[int]] = [[] for _ in labels]
     keep_loops = not options.drop_self_loops
     pairs = iter(ends)
-    if options.collapse_duplicates:
-        # key min*n + max names an undirected edge; dict.fromkeys keeps first-seen order
-        edges = dict.fromkeys(u * n + v if u <= v else v * n + u
-                              for u, v in zip(pairs, pairs) if keep_loops or u != v)
-        del ends, pairs
-        for key in edges:
-            u, v = divmod(key, n)
-            adj[u].append(ids[v])
-            adj[v].append(ids[u])  # u == v appends twice: a self-loop adds 2 to the degree
-        del edges
-    else:
-        for u, v in zip(pairs, pairs):
-            if keep_loops or u != v:
-                adj[u].append(v)
-                adj[v].append(u)
-        del ends, pairs
+    for u, v in zip(pairs, pairs):
+        if keep_loops or u != v:
+            adj[u].append(v)
+            adj[v].append(u)  # u == v appends twice: a self-loop adds 2 to the degree
+    del ends, pairs
 
-    g = Graph(adj, labels)
-    if options.largest_component:
-        # a component is closed under adjacency, so its lists need no
-        # membership test; g is local to this call, so they are relabelled in place
-        component = largest_component_nodes(g)
-        pos = [0] * n
-        for i, v in enumerate(component):
-            pos[v] = i
-        for v in component:
-            adj[v] = [pos[w] for w in adj[v]]
-        g = Graph([adj[v] for v in component], [labels[v] for v in component])
+    # the DFS skips a repeated neighbour as seen, so duplicates leave its order
+    # unchanged; a component is closed under adjacency, so its rows need no
+    # membership test, and they are local to this call, so they are rewritten in place
+    kept = largest_component_nodes(Graph(adj, labels)) if options.largest_component else range(n)
+    pos = [0] * n
+    for i, v in enumerate(kept):
+        pos[v] = i
+    collapse = options.collapse_duplicates
+    for v in kept:
+        # v's first entry for w comes from the line that first named the edge {v, w},
+        # so dict.fromkeys keeps each edge's first-seen order
+        row = dict.fromkeys(adj[v]) if collapse else adj[v]
+        adj[v] = new = [pos[w] for w in row]
+        if collapse and v in row:  # a kept self-loop keeps both entries, at its first place
+            new.insert(new.index(pos[v]), pos[v])
+    g = Graph([adj[v] for v in kept], [labels[v] for v in kept])
     if g.edge_count == 0:
         raise ValueError("empty graph after preprocessing")
     return g

@@ -107,7 +107,7 @@ def _check_start(g: Graph, seed: int, budget: int) -> None:
 def _make_trace(technique: str, g: Graph, seed: int, nodes: list[int],
                 with_replacement: bool, revivals: int = 0) -> SampleTrace:
     degs = [len(g.adjacency[v]) for v in nodes]
-    coverage = len(set(nodes)) / g.node_count
+    coverage = (len(set(nodes)) if with_replacement else len(nodes)) / g.node_count
     return SampleTrace(technique, seed, nodes, degs, with_replacement, coverage,
                        revivals=revivals)
 

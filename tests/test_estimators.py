@@ -2,6 +2,7 @@
 
 import math
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -10,6 +11,7 @@ from crawlbias import (ConvergenceError, DegreeDistribution, Graph, Neighborhood
                        bfs_correct_at_t, configuration_model, degree_sequence_from_distribution,
                        empirical_q, f_of_t, largest_component_nodes, mhrw, mhrw_correct,
                        q_k_of_t, random_walk, rmse_compare, rw_correct)
+from crawlbias.analytic import _inclusion
 
 PATH3 = Graph.from_edges(3, [(0, 1), (1, 2)])
 
@@ -161,6 +163,34 @@ def test_bfs_correct_general_attribute_weighting():
     trace = _trace([1, 1, 3, 3], x=[1.0, 1.0, 0.0, 0.0], coverage=0.5)
     rep = bfs_correct(trace, 0.5)
     assert rep.mean > 0.5
+
+
+def _per_record_mean(trace, x, inclusion):
+    """The Hajek ratio written record by record, as a float list per record."""
+    if x is None:
+        x = trace.x_values if trace.x_values is not None else trace.degrees
+    xs = [float(v) for v in x]
+    weight = {k: 1.0 / inclusion(k) for k in set(trace.degrees)}
+    inv = [weight[k] for k in trace.degrees]
+    return sum(xv * w for xv, w in zip(xs, inv)) / sum(inv)
+
+
+def test_streamed_reweighting_equals_per_record_formula():
+    d = DegreeDistribution({1: 0.2, 2: 0.3, 3: 0.2, 7: 0.2, 40: 0.1})
+    g = _config_graph(d, 2000, 4)
+    comp = largest_component_nodes(g)
+    rng = random.Random(31)
+    for f in (0.01, 0.1, 0.4, 0.8):
+        for _ in range(3):
+            trace = bfs(g, comp[rng.randrange(len(comp))], max(2, int(f * len(comp))))
+            carried = replace(trace, x_values=[rng.uniform(0.0, 9.0) for _ in trace.nodes])
+            explicit = [rng.uniform(-5.0, 50.0) for _ in trace.nodes]
+            for tr, x in ((trace, None), (carried, None), (carried, explicit)):
+                rep = rw_correct(tr, x)
+                assert rep.mean == _per_record_mean(tr, x, lambda k: k)
+                rep = bfs_correct(tr, tr.coverage, x)
+                assert rep.mean == _per_record_mean(tr, x, lambda k: _inclusion(rep.t_value, k))
+            assert mhrw_correct(trace).mean == sum(map(float, trace.degrees)) / len(trace)
 
 
 def test_bfs_correct_rejects_bad_inputs():

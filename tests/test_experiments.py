@@ -123,6 +123,33 @@ def test_config_from_json_and_validation():
         with pytest.raises(ConfigError):
             ExperimentConfig.from_json(bad)
 
+    # a value of the wrong JSON type fails naming its key: it is neither coerced
+    # (true as 1 replica, 1.9 as 1) nor left to fail later with a TypeError
+    gen = ("graph", "generate")
+    for where, key, value in (
+        ((), "replicas", True), ((), "replicas", 1.9), (gen, "nodes", 10.7),
+        ((), "seed", 1.5), ((), "f_grid", [True]), ((), "f_grid", "0.5"),
+        ((), "workers", "2"), ((), "depth", None), ((), "rewire_tolerance", None),
+        ((), "rewire_tolerance", False), (gen, "assortativity", "0.1"),
+        ((), "assortativity_targets", [0.1, None]), ((), "assortativity_targets", 0.1),
+        ((), "techniques", "bfs"), (("graph",), "file", 5),
+    ):
+        bad = json.loads(json.dumps(doc))
+        if key == "file":
+            bad["graph"] = {}
+        section = bad
+        for name in where:
+            section = section[name]
+        section[key] = value
+        with pytest.raises(ConfigError, match=key):
+            ExperimentConfig.from_json(bad)
+    # ... while an integer stands for a number and null for no rewiring
+    ok = json.loads(json.dumps(doc))
+    ok.update(f_grid=[1], rewire_tolerance=0)
+    ok["graph"]["generate"]["assortativity"] = None
+    cfg = ExperimentConfig.from_json(ok)
+    assert cfg.f_grid == [1.0] and cfg.source.target_assortativity is None
+
 
 def test_graph_source_validation():
     with pytest.raises(ConfigError):
@@ -479,6 +506,31 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert _run_cli(["sample", "--pk", "regular:3", "--nodes", "20", "--technique", "ff",
                      "--ff-p", "1.5", "--budget", "4"]) == 2
     assert "spread probability p" in capsys.readouterr().err
+    # --ff-p and --sbs-n belong to ff and sbs: naming one elsewhere fails and names it
+    tri = tmp_path / "tri.txt"
+    tri.write_text("0 1\n1 2\n2 0\n")
+    for flag, value, technique in (("--ff-p", "1.5", "bfs"), ("--sbs-n", "2", "ff")):
+        assert _run_cli(["sample", "--edgelist", str(tri), "--technique", technique,
+                         flag, value, "--budget", "2"]) == 2
+        assert flag in capsys.readouterr().err
+    # a config value of the wrong JSON type fails naming its key
+    bad.write_text(json.dumps({"graph": {"generate": {"pk": "powerlaw:2.5:2:10", "nodes": 50,
+                                                      "assortativity": "0.1"}},
+                               "techniques": ["bfs"], "f_grid": [0.5]}))
+    assert _run_cli(["curves", "--config", str(bad)]) == 2
+    assert "assortativity must be a number or null" in capsys.readouterr().err
+
+
+def test_cli_sample_parameter_defaults(tmp_path):
+    # ff spreads with p = 0.5 and sbs names 2 unless told otherwise
+    for technique, flag, default in (("ff", "--ff-p", "0.5"), ("sbs", "--sbs-n", "2")):
+        outs = []
+        for extra in ([], [flag, default]):
+            outs.append(tmp_path / f"{technique}{len(extra)}.csv")
+            assert _run_cli(["sample", "--pk", "powerlaw:2.5:2:30", "--nodes", "400",
+                             "--technique", technique, "--budget", "200", "--rng-seed", "6",
+                             "--out", str(outs[-1]), *extra]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
 
 
 def test_cli_trace_metadata_carries_coverage(tmp_path):

@@ -4,11 +4,12 @@ import io
 import itertools
 import math
 import random
+import tracemalloc
 
 import pytest
 
 from crawlbias import (DegreeDistribution, Graph, GraphFormatError, LoadOptions, RAW,
-                       assortativity, ball, connected_components, degree_distribution,
+                       assortativity, ball, cli, connected_components, degree_distribution,
                        induced_subgraph, largest_component_nodes, load_edge_list, moments,
                        stats_row)
 from crawlbias.experiments import ExperimentConfig, GraphSource, TechniqueSpec, _shared_setup
@@ -252,6 +253,18 @@ def test_load_edge_list_matches_reference_loader():
     rng = random.Random(20261018)
     all_options = [None] + [LoadOptions(*flags)
                             for flags in itertools.product([False, True], repeat=3)]
+    # hand cases for collapse with loops kept: a self-loop before, between and after
+    # other neighbours, a repeated self-loop, reversed duplicates, a loop-only graph
+    for text in ("1 1\n1 2\n1 3\n", "1 2\n1 1\n1 3\n", "1 2\n1 3\n1 1\n",
+                 "1 1\n1 2\n1 1\n2 1\n1 1\n", "1 2\n2 1\n3 1\n2 2\n1 3\n2\t2\n3 2\n",
+                 "5 5\n5 5\n"):
+        for options in all_options:
+            outcome = _load_outcome(load_edge_list, text, options)
+            assert outcome == _load_outcome(_reference_load_edge_list, text, options)
+    loops_kept = LoadOptions(collapse_duplicates=True, drop_self_loops=False)
+    g = load_edge_list(io.StringIO("1 2\n1 1\n3 1\n1 1\n2 1\n"), loops_kept)
+    assert g.adjacency[0] == [1, 0, 0, 2]  # each edge once, at its first line
+
     loaded = 0
     for _ in range(80):
         text = _messy_edge_list(rng)
@@ -260,6 +273,23 @@ def test_load_edge_list_matches_reference_loader():
             assert outcome == _load_outcome(_reference_load_edge_list, text, options)
             loaded += isinstance(outcome[0], list)
     assert loaded > 600  # most inputs load under every option set
+
+
+def test_load_edge_list_peak_memory(tmp_path):
+    # the loader's transient memory stays within 1.6x of the graph it returns
+    # (a global edge-key dict next to the adjacency lists costs about 1.9x)
+    edge_file = tmp_path / "g.txt"
+    assert cli.main(["generate", "--pk", "powerlaw:2.5:2:100", "--nodes", "20000",
+                     "--rng-seed", "3", "--out", str(edge_file)]) == 0
+    for options in (None, LoadOptions(True, False, True)):
+        tracemalloc.start()
+        try:
+            g = load_edge_list(str(edge_file), options)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert g.node_count > 15000
+        assert peak <= 1.6 * retained, (options, peak, retained)
 
 
 def test_shared_setup_component_is_the_loaded_graph(tmp_path):

@@ -72,6 +72,18 @@ def test_traversal_traces_have_distinct_nodes_and_coverage():
         assert trace.degrees == [g.degree(v) for v in trace.nodes]
 
 
+def test_trace_coverage_counts_distinct_nodes():
+    g = _config_graph()
+    seed = sorted(largest_component_nodes(g))[0]
+    trace = bfs(g, seed, 150)
+    assert trace.coverage == len(trace.nodes) / g.node_count
+    for graph, walk in ((g, random_walk(g, seed, 600, random.Random(3))),
+                        (g, mhrw(g, seed, 600, random.Random(4))),
+                        (PATH3, random_walk(PATH3, 1, 10, random.Random(5)))):
+        assert len(set(walk.nodes)) < len(walk.nodes)  # the walk revisits nodes
+        assert walk.coverage == len(set(walk.nodes)) / graph.node_count
+
+
 def test_every_nonseed_node_touches_an_earlier_node():
     g = _config_graph()
     seed = sorted(largest_component_nodes(g))[1]
