@@ -9,11 +9,10 @@ and `estimators` inverts the distortion to recover unbiased statistics.
 `experiments` and `cli` wrap the layers in a replicated, seeded harness.
 """
 
-from .analytic import (curve_rows, exact_step_distribution, f_k_of_t, f_of_t, mean_q_of_f,
-                       q_k_of_f, q_k_of_t, reachable_fraction, rw_expected, t_of_f)
-from .estimators import (ConvergenceError, EstimationReport, NeighborhoodScheme,
-                         arbitrary_topology_estimate, bfs_correct, bfs_correct_at_t,
-                         empirical_q, mhrw_correct, rmse_compare, rw_correct)
+from .analytic import (ConvergenceError, curve_rows, exact_step_distribution, f_k_of_t, f_of_t,
+                       mean_q_of_f, q_k_of_f, q_k_of_t, reachable_fraction, rw_expected, t_of_f)
+from .estimators import (EstimationReport, NeighborhoodScheme, arbitrary_topology_estimate,
+                         bfs_correct, empirical_q, mhrw_correct, rmse_compare, rw_correct)
 from .generate import (RewireResult, configuration_model, degree_sequence_from_distribution,
                        rewire_to_assortativity)
 from .graph import (DegreeDistribution, Graph, GraphFormatError, LoadOptions, RAW, assortativity,
@@ -31,7 +30,7 @@ __all__ = [
     "ConvergenceError", "DegreeDistribution", "EstimationReport", "FIFO", "Graph",
     "GraphFormatError", "LIFO", "LoadOptions", "NeighborhoodScheme", "QueueDiscipline",
     "RAW", "RewireResult", "SampleTrace", "StubAssignment", "arbitrary_topology_estimate",
-    "assign_stub_indices", "assortativity", "ball", "bfs", "bfs_correct", "bfs_correct_at_t",
+    "assign_stub_indices", "assortativity", "ball", "bfs", "bfs_correct",
     "configuration_model", "connected_components", "curve_rows", "degree_distribution",
     "degree_sequence_from_distribution", "dfs", "empirical_q", "exact_step_distribution",
     "f_k_of_t", "f_of_t", "forest_fire", "induced_subgraph", "largest_component_nodes",

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 import math
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .graph import DegreeDistribution
 
@@ -54,8 +54,42 @@ def reachable_fraction(d: DegreeDistribution) -> float:
     return 1.0 - d.get(0)
 
 
+class ConvergenceError(RuntimeError):
+    """A scan-time solve did not reach tolerance."""
+
+    def __init__(self, message: str, iterations: int, residual: float):
+        super().__init__(message)
+        self.iterations = iterations
+        self.residual = residual
+
+
+def _solve_t(excess: Callable[[float], float], tol: float,
+             max_iter: int) -> tuple[float, float, int]:
+    """Scan time t in (0, 1] with |excess(t)| <= tol, as (t, excess(t), iterations).
+
+    excess must increase in t and be negative as t -> 0+. t = 1 is tried first,
+    then (0, 1] is bisected; every evaluation counts as one iteration.
+    """
+    t, res = 1.0, excess(1.0)
+    iterations = 1
+    lo, hi = 0.0, 1.0
+    while abs(res) > tol:
+        if iterations >= max_iter:
+            raise ConvergenceError(f"no t with |f residual| <= {tol} after {max_iter} iterations",
+                                   iterations, excess(0.5 * (lo + hi)))
+        iterations += 1
+        t = 0.5 * (lo + hi)
+        res = excess(t)
+        if res < 0.0:
+            lo = t
+        else:
+            hi = t
+    return t, res, iterations
+
+
 def t_of_f(d: DegreeDistribution, f: float, *, tol: float = 1e-10, max_iter: int = 200) -> float:
-    """Invert f(t) = f by bisection to |f(t) - f| <= tol.
+    """Invert f(t) = f to |f(t) - f| <= tol by _solve_t's bisection, which
+    raises ConvergenceError after max_iter evaluations.
 
     f must lie in [0, 1 - p_0]; the inverse exists because f(t) is strictly
     increasing wherever some positive-degree class has mass.
@@ -67,17 +101,14 @@ def t_of_f(d: DegreeDistribution, f: float, *, tol: float = 1e-10, max_iter: int
         return 0.0
     if f >= fmax:
         return 1.0
-    lo, hi = 0.0, 1.0
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        val = f_of_t(d, mid)
-        if abs(val - f) <= tol:
-            return mid
-        if val < f:
-            lo = mid
-        else:
-            hi = mid
-    raise RuntimeError(f"t_of_f did not reach tolerance {tol} in {max_iter} iterations")
+    return _solve_t(lambda t: f_of_t(d, t) - f, tol, max_iter)[0]
+
+
+def _implied_f(q: DegreeDistribution, t: float) -> float:
+    """Coverage F(q, t) = 1 / sum_k q_k / pi_k(t) that an observed degree mix q
+    implies at scan time t: the q_k / pi_k(t) reweighting of q, fed forward
+    through f(., t). Needs t > 0 and no zero-degree mass in q."""
+    return 1.0 / sum(qk / _inclusion(t, k) for k, qk in q.items())
 
 
 def q_k_of_t(d: DegreeDistribution, t: float) -> DegreeDistribution:
@@ -185,8 +216,8 @@ def curve_rows(d: DegreeDistribution, f_grid: Sequence[float]) -> list[dict[str,
     """Rows for the CSV curve export: f, t, mean_q, q_k_json."""
     rows = []
     for f in f_grid:
-        t = t_of_f(d, f) if f > 0 else 0.0
-        q = q_k_of_f(d, f)
+        t = t_of_f(d, f)
+        q = q_k_of_t(d, t) if f else rw_expected(d)[0]  # q_k_of_f, without a second solve
         rows.append({
             "f": f,
             "t": t,

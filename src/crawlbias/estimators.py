@@ -7,18 +7,9 @@ from dataclasses import dataclass
 from operator import mul
 from typing import Callable, Sequence
 
-from .analytic import _inclusion
+from .analytic import ConvergenceError, _implied_f, _inclusion, _solve_t
 from .graph import DegreeDistribution, Graph, ball
 from .samplers import SampleTrace, bfs
-
-
-class ConvergenceError(RuntimeError):
-    """The coverage-matching solve did not reach tolerance."""
-
-    def __init__(self, message: str, iterations: int, residual: float):
-        super().__init__(message)
-        self.iterations = iterations
-        self.residual = residual
 
 
 @dataclass
@@ -94,26 +85,6 @@ def mhrw_correct(trace: SampleTrace, x: Sequence[float] | None = None) -> Estima
     return EstimationReport("mhrw", sum(xs) / len(xs), q, q.mean())
 
 
-def bfs_correct_at_t(q_hat: DegreeDistribution, t: float) -> DegreeDistribution:
-    """Invert the coverage-time inclusion at a known scan time t.
-
-    A degree-k node is included by time t with probability 1 - (1-t)^k, so
-
-        p_hat_k  proportional to  q_hat_k / (1 - (1-t)^k)
-
-    Feeding p_hat forward through the same inclusion map returns q_hat.
-    """
-    if not 0.0 < t <= 1.0:
-        raise ValueError("t must lie in (0, 1]: inclusion weights vanish at t = 0")
-    weighted = {}
-    for k, qk in q_hat.items():
-        w = _inclusion(t, k)
-        if w <= 0.0:
-            raise ValueError(f"degree {k} has zero inclusion probability at t={t}")
-        weighted[k] = qk / w
-    return DegreeDistribution(weighted, normalize=True)
-
-
 def bfs_correct(trace: SampleTrace, f_real: float, x: Sequence[float] | None = None,
                 *, tol: float = 1e-8, max_iter: int = 500) -> EstimationReport:
     """Correct an early traversal sample using its known coverage f_real.
@@ -123,8 +94,9 @@ def bfs_correct(trace: SampleTrace, f_real: float, x: Sequence[float] | None = N
     pi_k(t) = 1 - (1-t)^k, must predict the observed coverage, and fed forward
     it predicts f(p_hat(t), t) = 1 / sum_k q_hat_k / pi_k(t). Its residual
     against f_real is negative near t = 0 and equals 1 - f_real at t = 1, so
-    a sign-changing bracket always exists and bisection locates t*. Records
-    are then weighted by 1 / pi_k(t*) and averaged as a ratio estimator.
+    a sign-changing bracket always exists and bisection locates t*
+    (ConvergenceError past max_iter). Records are then weighted by
+    1 / pi_k(t*) and averaged as a ratio estimator.
     """
     if trace.with_replacement:
         raise ValueError("coverage-based correction needs a without-replacement trace")
@@ -135,24 +107,8 @@ def bfs_correct(trace: SampleTrace, f_real: float, x: Sequence[float] | None = N
     if min(trace.degrees) <= 0:
         raise ValueError("zero-degree record cannot be coverage-corrected")
     q_hat = empirical_q(trace)
-
-    def residual(t: float) -> float:
-        return 1.0 / sum(qk / _inclusion(t, k) for k, qk in q_hat.items()) - f_real
-
-    t_star, res_star = 1.0, residual(1.0)
-    iterations = 1
-    lo, hi = 0.0, 1.0  # residual(0+) = -f_real < 0 <= residual(1) = 1 - f_real
-    while abs(res_star) > tol:
-        if iterations >= max_iter:
-            raise ConvergenceError(f"no t with |f residual| <= {tol} after {max_iter} iterations",
-                                   iterations, residual(0.5 * (lo + hi)))
-        iterations += 1
-        t_star = 0.5 * (lo + hi)
-        res_star = residual(t_star)
-        if res_star < 0.0:
-            lo = t_star
-        else:
-            hi = t_star
+    t_star, res_star, iterations = _solve_t(lambda t: _implied_f(q_hat, t) - f_real,
+                                            tol, max_iter)
     return _reweight("bfs-corrected", trace, x, q_hat, lambda k: _inclusion(t_star, k),
                      iterations=iterations, t_value=t_star, residual=res_star)
 
@@ -217,9 +173,11 @@ def arbitrary_topology_estimate(g: Graph, x: Sequence[float], seed: int,
     satisfies E[x_hat_tot] = sum_v x(v) exactly, for any scheme. The report
     carries the total and its per-node mean x_hat_tot / |V|.
 
-    mode 'sample_only' additionally asserts that every x value read and
-    every ball entering a pi lies inside the observed sample B_depth(seed);
-    the extended variant needs global ball comparisons, hence mode 'oracle'.
+    mode 'sample_only' refuses the schemes whose weights need balls of
+    unsampled nodes: the extended variant, and half_radius under nonuniform
+    seed probabilities. Every other read stays inside the observed sample
+    B_depth(seed): for v in B_{depth//2}(seed), B_{depth//2}(v) lies in
+    B_depth(seed) by the triangle inequality.
     """
     if mode not in ("sample_only", "oracle"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -236,8 +194,6 @@ def arbitrary_topology_estimate(g: Graph, x: Sequence[float], seed: int,
             raise ValueError("half_radius inclusion weights are sample-computable "
                              "only under uniform seed selection")
 
-    sample = ball(g, seed, scheme.depth)
-
     if scheme.variant == "trivial":
         q_set = [seed]
         pi = {seed: probs[seed]}
@@ -245,6 +201,7 @@ def arbitrary_topology_estimate(g: Graph, x: Sequence[float], seed: int,
         v_star = scheme.special
         if not 0 <= v_star < n:
             raise ValueError(f"unknown special node {v_star}")
+        sample = ball(g, seed, scheme.depth)
         if seed == v_star:
             q_set = sorted(sample)
             pi = {v: probs[v] + (probs[v_star] if v != v_star else 0.0) for v in q_set}
@@ -256,12 +213,7 @@ def arbitrary_topology_estimate(g: Graph, x: Sequence[float], seed: int,
     elif scheme.variant == "half_radius":
         half = scheme.depth // 2
         q_set = sorted(ball(g, seed, half))
-        pi = {}
-        for v in q_set:
-            bv = ball(g, v, half)
-            if sample_only and not bv <= sample:
-                raise RuntimeError("half-radius ball escaped the observed sample")
-            pi[v] = sum(probs[w] for w in bv)
+        pi = {v: sum(probs[w] for w in ball(g, v, half)) for v in q_set}
     else:  # half_radius_extended, oracle only
         half = scheme.depth // 2
         big = [frozenset(ball(g, w, scheme.depth)) for w in range(n)]
@@ -278,45 +230,37 @@ def arbitrary_topology_estimate(g: Graph, x: Sequence[float], seed: int,
         q_set = q_of_seed
         pi = {v: pi_acc[v] for v in q_set}
 
-    if sample_only and any(v not in sample for v in q_set):
-        raise RuntimeError("estimation set escaped the observed sample")
-
     total = sum(x[v] / pi[v] for v in q_set)
     return EstimationReport(f"arb-{scheme.variant}", total / n, total=total)
 
 
 def rmse_compare(g: Graph, x: Sequence[float], replicas: int, rng: random.Random,
-                 *, depth: int = 2, schemes: Sequence[NeighborhoodScheme] | None = None,
-                 include_corrected_traversal: bool = True) -> list[dict[str, object]]:
-    """Head-to-head RMSE of neighborhood estimators and coverage-corrected
-    traversal on equal sample sizes.
+                 *, depth: int = 2) -> list[dict[str, object]]:
+    """Head-to-head RMSE of the half-radius neighborhood estimator and
+    coverage-corrected traversal on equal sample sizes.
 
-    Each replica draws a uniform seed; every scheme estimates from B_depth(seed),
-    and the corrected-traversal entry consumes a breadth-first sample of the
-    same size |B_depth(seed)| from the same seed. Estimates are per-node means
-    x_hat_tot / |V|; RMSE is against the true mean of x.
+    Each replica draws a uniform seed; the half-radius scheme estimates from
+    B_depth(seed), and the corrected traversal consumes a breadth-first sample
+    of the same size |B_depth(seed)| from the same seed. Estimates are
+    per-node means x_hat_tot / |V|; RMSE is against the true mean of x.
     """
     if replicas < 1:
         raise ValueError("replicas must be >= 1")
-    if schemes is None:
-        schemes = [NeighborhoodScheme("half_radius", depth)]
+    scheme = NeighborhoodScheme("half_radius", depth)
     n = g.node_count
     truth = sum(x) / n
     per_method: dict[str, list[float]] = {}
     diags: dict[str, list[tuple[int, float]]] = {}
     for _ in range(replicas):
         seed = rng.randrange(n)
-        for scheme in schemes:
-            mode = "oracle" if scheme.variant == "half_radius_extended" else "sample_only"
-            rep = arbitrary_topology_estimate(g, x, seed, scheme, mode)
-            per_method.setdefault(rep.technique, []).append(rep.mean)
-        if include_corrected_traversal:
-            size = len(ball(g, seed, depth))
-            trace = bfs(g, seed, size)
-            xs = [x[v] for v in trace.nodes]
-            rep = bfs_correct(trace, len(trace) / n, xs)
-            per_method.setdefault(rep.technique, []).append(rep.mean)
-            diags.setdefault(rep.technique, []).append((rep.iterations, abs(rep.residual)))
+        rep = arbitrary_topology_estimate(g, x, seed, scheme)
+        per_method.setdefault(rep.technique, []).append(rep.mean)
+        size = len(ball(g, seed, depth))
+        trace = bfs(g, seed, size)
+        xs = [x[v] for v in trace.nodes]
+        rep = bfs_correct(trace, len(trace) / n, xs)
+        per_method.setdefault(rep.technique, []).append(rep.mean)
+        diags.setdefault(rep.technique, []).append((rep.iterations, abs(rep.residual)))
     rows = []
     for method, vals in per_method.items():
         rmse = (sum((v - truth) ** 2 for v in vals) / len(vals)) ** 0.5

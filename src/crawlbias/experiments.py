@@ -157,6 +157,11 @@ class ExperimentConfig:
             raise ConfigError("workers must be >= 1")
         if self.mode not in ("bias", "correction", "compare", "assortativity", "analytic"):
             raise ConfigError(f"unknown mode {self.mode!r}")
+        if self.techniques and self.mode in ("correction", "compare"):
+            raise ConfigError(f"mode {self.mode!r} crawls with bfs only and takes no techniques")
+        if self.mode == "assortativity" and self.source.target_assortativity is not None:
+            raise ConfigError("mode 'assortativity' rewires to each of assortativity_targets "
+                              "and takes no graph.generate.assortativity")
 
     @classmethod
     def from_json(cls, doc: Mapping) -> "ExperimentConfig":

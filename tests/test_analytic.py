@@ -6,9 +6,10 @@ import random
 
 import pytest
 
-from crawlbias import (DegreeDistribution, curve_rows, exact_step_distribution, f_k_of_t,
-                       f_of_t, mean_q_of_f, moments, q_k_of_f, q_k_of_t, reachable_fraction,
-                       rw_expected, t_of_f)
+from crawlbias import (ConvergenceError, DegreeDistribution, curve_rows, exact_step_distribution,
+                       f_k_of_t, f_of_t, mean_q_of_f, moments, q_k_of_f, q_k_of_t,
+                       reachable_fraction, rw_expected, t_of_f)
+from crawlbias.analytic import _implied_f
 
 BIMODAL = DegreeDistribution({1: 0.5, 3: 0.5})
 
@@ -72,6 +73,51 @@ def test_roundtrip_residual_below_1e10():
     for d in laws:
         for f in [0.001 + i * (0.998 / 99) for i in range(100)]:
             assert abs(f_of_t(d, t_of_f(d, f)) - f) <= 1e-10
+
+
+def _reference_t_of_f(d, f, tol=1e-10, max_iter=200):
+    """t_of_f as it was: its own bisection from t = 0.5, no t = 1 trial."""
+    lo, hi = 0.0, 1.0
+    for _ in range(max_iter):
+        mid = 0.5 * (lo + hi)
+        val = f_of_t(d, mid)
+        if abs(val - f) <= tol:
+            return mid
+        if val < f:
+            lo = mid
+        else:
+            hi = mid
+    raise AssertionError("reference bisection did not converge")
+
+
+def test_t_of_f_matches_reference_bisection():
+    rng = random.Random(8)
+    laws = (BIMODAL, DegreeDistribution({0: 0.15, 1: 0.25, 4: 0.4, 30: 0.2}),
+            DegreeDistribution({k: k ** -2.5 for k in range(2, 101)}, normalize=True))
+    checked = 0
+    for d in laws:
+        top = reachable_fraction(d) - 1e-9
+        grid = [top * i / 60 for i in range(1, 60)] + [top - 1e-9 * i for i in range(1, 11)]
+        for f in grid + [rng.uniform(0.0, top) for _ in range(40)]:
+            assert t_of_f(d, f) == _reference_t_of_f(d, f), (d, f)
+            checked += 1
+    assert checked == 327
+
+
+def test_t_of_f_iteration_cap_raises_with_diagnostics():
+    with pytest.raises(ConvergenceError) as info:
+        t_of_f(BIMODAL, 0.3, max_iter=2)
+    assert isinstance(info.value, RuntimeError)
+    assert info.value.iterations == 2
+    assert abs(info.value.residual) > 1e-10
+
+
+def test_implied_f_inverts_the_forward_map():
+    # the observed mix of a law at scan time t implies exactly that law's coverage
+    for d in (BIMODAL, DegreeDistribution({2: 0.3, 3: 0.4, 9: 0.3}),
+              DegreeDistribution({k: k ** -2.5 for k in range(1, 101)}, normalize=True)):
+        for t in (1e-6, 0.01, 0.2, 0.5, 0.9, 1.0):
+            assert abs(_implied_f(q_k_of_t(d, t), t) - f_of_t(d, t)) <= 1e-12
 
 
 def test_q_k_hand_values():
@@ -195,3 +241,12 @@ def test_curve_rows_shape():
     import json
     q = json.loads(rows[1]["q_k_json"])
     assert set(q) == {"1", "3"}
+
+
+def test_curve_rows_equal_t_of_f_and_mean_q_of_f():
+    # one scan-time solve per row gives the same bits as the two public calls
+    d = DegreeDistribution({0: 0.1, 1: 0.3, 3: 0.4, 9: 0.2})
+    grid = [0.0, 0.001, 0.05, 0.3, 0.6, 0.85, 0.899999, 0.9]
+    for row, f in zip(curve_rows(d, grid), grid):
+        assert row["t"] == t_of_f(d, f)
+        assert row["mean_q"] == mean_q_of_f(d, f)

@@ -6,11 +6,13 @@ from dataclasses import replace
 
 import pytest
 
+import crawlbias.analytic
+import crawlbias.estimators
 from crawlbias import (ConvergenceError, DegreeDistribution, Graph, NeighborhoodScheme,
                        SampleTrace, arbitrary_topology_estimate, ball, bfs, bfs_correct,
-                       bfs_correct_at_t, configuration_model, degree_sequence_from_distribution,
-                       empirical_q, f_of_t, largest_component_nodes, mhrw, mhrw_correct,
-                       q_k_of_t, random_walk, rmse_compare, rw_correct)
+                       configuration_model, degree_sequence_from_distribution, empirical_q,
+                       f_of_t, largest_component_nodes, mhrw, mhrw_correct, q_k_of_t,
+                       random_walk, rmse_compare, rw_correct)
 from crawlbias.analytic import _inclusion
 
 PATH3 = Graph.from_edges(3, [(0, 1), (1, 2)])
@@ -94,28 +96,31 @@ def test_mhrw_correct_long_run():
     assert mhrw_correct(trace).mean_degree == pytest.approx(truth, rel=0.02)
 
 
-def test_bfs_correct_at_t_hand_value():
-    q = DegreeDistribution({1: 1 / 3, 3: 2 / 3})
-    p = bfs_correct_at_t(q, 0.5)
-    assert p.get(1) == pytest.approx(14 / 30)    # weights 0.5 and 0.875
-    assert p.get(3) == pytest.approx(16 / 30)
+def test_bfs_correct_distribution_hand_value():
+    # q = (1/3, 2/3) on degrees (1, 3) implies coverage 1 / (2/3 + 16/21) = 0.7 at t = 0.5
+    rep = bfs_correct(_trace([1, 3, 3]), 0.7)
+    assert rep.t_value == 0.5
+    assert rep.distribution.get(1) == pytest.approx(14 / 30)    # weights 0.5 and 0.875
+    assert rep.distribution.get(3) == pytest.approx(16 / 30)
 
 
-def test_bfs_correct_at_t_identity_and_validation():
-    q = DegreeDistribution({1: 1 / 3, 3: 2 / 3})
-    assert bfs_correct_at_t(q, 1.0) == q
-    single = DegreeDistribution({4: 1.0})
-    assert bfs_correct_at_t(single, 0.123) == single
+def test_bfs_correct_distribution_identity_and_validation():
+    trace = _trace([1, 3, 3])
+    rep = bfs_correct(trace, 1.0)
+    assert rep.t_value == 1.0 and rep.distribution == empirical_q(trace)
+    single = _trace([4, 4, 4])
+    assert bfs_correct(single, 0.123).distribution == DegreeDistribution({4: 1.0})
     with pytest.raises(ValueError):
-        bfs_correct_at_t(q, 0.0)
+        bfs_correct(trace, 0.0)
 
 
-def test_bfs_correct_at_t_roundtrip():
-    # inverting then re-applying the forward coverage map returns q exactly
-    q = DegreeDistribution({1: 0.2, 2: 0.3, 7: 0.5})
-    for t in (0.05, 0.4, 0.9):
-        p = bfs_correct_at_t(q, t)
-        back = q_k_of_t(p, t)
+def test_bfs_correct_distribution_roundtrip():
+    # re-applying the forward coverage map at t* to the corrected law returns q
+    trace = _trace([1] * 2 + [2] * 3 + [7] * 5)
+    q = empirical_q(trace)
+    for f in (0.05, 0.4, 0.9):
+        rep = bfs_correct(trace, f)
+        back = q_k_of_t(rep.distribution, rep.t_value)
         for k, v in q.items():
             assert back.get(k) == pytest.approx(v, abs=1e-12)
 
@@ -205,6 +210,10 @@ def test_bfs_correct_rejects_bad_inputs():
 
 
 def test_convergence_error_carries_diagnostics():
+    # one class, defined with the scan-time solve and raised by t_of_f and bfs_correct
+    assert ConvergenceError is crawlbias.estimators.ConvergenceError
+    assert ConvergenceError is crawlbias.analytic.ConvergenceError
+    assert issubclass(ConvergenceError, RuntimeError)
     err = ConvergenceError("no", iterations=7, residual=0.25)
     assert err.iterations == 7
     assert err.residual == pytest.approx(0.25)
@@ -225,8 +234,12 @@ def _reference_bfs_correct(trace, f_real, tol=1e-8, max_iter=500):
     corrected law forward through f_of_t."""
     q_hat = empirical_q(trace)
 
+    def corrected_at(t):
+        return DegreeDistribution({k: qk / _inclusion(t, k) for k, qk in q_hat.items()},
+                                  normalize=True)
+
     def residual(t):
-        return f_of_t(bfs_correct_at_t(q_hat, t), t) - f_real
+        return f_of_t(corrected_at(t), t) - f_real
 
     t_star, res_star, iterations, lo, hi = 1.0, residual(1.0), 1, 0.0, 1.0
     while abs(res_star) > tol:
@@ -241,7 +254,7 @@ def _reference_bfs_correct(trace, f_real, tol=1e-8, max_iter=500):
     weight = {k: 1.0 / f_of_t(DegreeDistribution({k: 1.0}), t_star) for k in q_hat.support()}
     inv = [weight[k] for k in trace.degrees]
     mean = sum(k * w for k, w in zip(trace.degrees, inv)) / sum(inv)
-    return t_star, iterations, res_star, mean, bfs_correct_at_t(q_hat, t_star)
+    return t_star, iterations, res_star, mean, corrected_at(t_star)
 
 
 def test_bfs_correct_closed_form_matches_reference_solver():
@@ -396,17 +409,16 @@ def test_half_radius_reads_stay_inside_sample():
 
 
 def test_rmse_compare_perfect_estimator_zero_rmse():
-    # constant attribute: the trivial scheme with exact inclusion weights
-    # reproduces the truth from every seed
+    # constant attribute on a 4-cycle: the half-radius scheme with exact inclusion
+    # weights and the full-coverage corrected traversal reproduce the truth from every seed
     g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
     x = [2.0, 2.0, 2.0, 2.0]
-    rows = rmse_compare(g, x, 8, random.Random(1),
-                        schemes=[NeighborhoodScheme("trivial", 2)],
-                        include_corrected_traversal=False)
-    assert len(rows) == 1
-    assert rows[0]["method"] == "arb-trivial"
-    assert rows[0]["rmse"] == pytest.approx(0.0, abs=1e-12)
-    assert rows[0]["mean_estimate"] == pytest.approx(2.0)
+    rows = rmse_compare(g, x, 8, random.Random(1))
+    assert [r["method"] for r in rows] == ["arb-half_radius", "bfs-corrected"]
+    for row in rows:
+        assert row["rmse"] == 0.0
+        assert row["mean_estimate"] == 2.0
+        assert row["replicas"] == 8
 
 
 def test_rmse_compare_includes_corrected_traversal():

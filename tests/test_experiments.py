@@ -150,6 +150,19 @@ def test_config_from_json_and_validation():
     cfg = ExperimentConfig.from_json(ok)
     assert cfg.f_grid == [1.0] and cfg.source.target_assortativity is None
 
+    # a key the mode does not read fails naming the key and the mode: correction and
+    # compare crawl with bfs only, and a sweep rewires to its own targets
+    for mode in ("correction", "compare"):
+        bad = dict(json.loads(json.dumps(doc)), mode=mode)
+        with pytest.raises(ConfigError, match=rf"mode '{mode}'.*techniques"):
+            ExperimentConfig.from_json(bad)
+        assert ExperimentConfig.from_json(dict(bad, techniques=[])).mode == mode
+    sweep = dict(json.loads(json.dumps(doc)), mode="assortativity", assortativity_targets=[0.1])
+    assert ExperimentConfig.from_json(sweep).mode == "assortativity"
+    sweep["graph"]["generate"]["assortativity"] = 0.2
+    with pytest.raises(ConfigError, match="mode 'assortativity'.*graph.generate.assortativity"):
+        ExperimentConfig.from_json(sweep)
+
 
 def test_graph_source_validation():
     with pytest.raises(ConfigError):
@@ -519,6 +532,19 @@ def test_cli_exit_codes(tmp_path, capsys):
                                "techniques": ["bfs"], "f_grid": [0.5]}))
     assert _run_cli(["curves", "--config", str(bad)]) == 2
     assert "assortativity must be a number or null" in capsys.readouterr().err
+    # a technique list on correction or compare, and a base rewiring on a sweep, exit 2
+    for mode in ("correction", "compare"):
+        bad.write_text(json.dumps({"graph": {"generate": {"pk": "regular:3", "nodes": 50}},
+                                   "techniques": ["dfs"], "f_grid": [0.5], "mode": mode}))
+        assert _run_cli([mode if mode == "compare" else "curves", "--config", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert "techniques" in err and mode in err
+    bad.write_text(json.dumps({"graph": {"generate": {"pk": "powerlaw:2.5:2:10", "nodes": 50,
+                                                      "assortativity": 0.2}},
+                               "techniques": ["bfs"], "f_grid": [0.5], "mode": "assortativity",
+                               "assortativity_targets": [0.0]}))
+    assert _run_cli(["curves", "--config", str(bad)]) == 2
+    assert "graph.generate.assortativity" in capsys.readouterr().err
 
 
 def test_cli_sample_parameter_defaults(tmp_path):

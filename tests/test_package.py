@@ -1,0 +1,36 @@
+"""Package hygiene: standard-library imports only, and a public namespace that resolves."""
+
+import ast
+import sys
+from pathlib import Path
+
+import crawlbias
+
+PACKAGE_DIR = Path(crawlbias.__file__).resolve().parent
+
+
+def test_package_imports_only_the_standard_library():
+    # numpy and friends may be installed where the tests run, so importing the
+    # package proves nothing; read every absolute import instead
+    sources = sorted(PACKAGE_DIR.glob("*.py"))
+    assert len(sources) >= 8
+    foreign = []
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.split(".")[0]
+                if top != "crawlbias" and top not in sys.stdlib_module_names:
+                    foreign.append(f"{path.name}:{node.lineno} imports {name}")
+    assert foreign == []
+
+
+def test_public_names_resolve():
+    missing = [name for name in crawlbias.__all__ if not hasattr(crawlbias, name)]
+    assert missing == []
+    assert len(set(crawlbias.__all__)) == len(crawlbias.__all__)
