@@ -15,7 +15,7 @@ from .estimators import (EstimationReport, NeighborhoodScheme, arbitrary_topolog
                          bfs_correct, empirical_q, mhrw_correct, rmse_compare, rw_correct)
 from .generate import (RewireResult, configuration_model, degree_sequence_from_distribution,
                        rewire_to_assortativity)
-from .graph import (DegreeDistribution, Graph, GraphFormatError, LoadOptions, RAW, assortativity,
+from .graph import (DegreeDistribution, Graph, GraphFormatError, RAW, assortativity,
                     ball, connected_components, degree_distribution, induced_subgraph,
                     largest_component_nodes, load_edge_list, moments, stats_row)
 from .samplers import (FIFO, LIFO, QueueDiscipline, SampleTrace, StubAssignment,
@@ -28,7 +28,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ConvergenceError", "DegreeDistribution", "EstimationReport", "FIFO", "Graph",
-    "GraphFormatError", "LIFO", "LoadOptions", "NeighborhoodScheme", "QueueDiscipline",
+    "GraphFormatError", "LIFO", "NeighborhoodScheme", "QueueDiscipline",
     "RAW", "RewireResult", "SampleTrace", "StubAssignment", "arbitrary_topology_estimate",
     "assign_stub_indices", "assortativity", "ball", "bfs", "bfs_correct",
     "configuration_model", "connected_components", "curve_rows", "degree_distribution",

@@ -13,9 +13,9 @@ import random
 import sys
 from contextlib import contextmanager
 
-from . import analytic, experiments
+from . import experiments
 from .estimators import ConvergenceError, bfs_correct, mhrw_correct, rw_correct
-from .graph import GraphFormatError, RAW, degree_distribution, load_edge_list, stats_row
+from .graph import GraphFormatError, load_edge_list, stats_row
 from .samplers import weighted_without_replacement
 from .experiments import ConfigError, GraphSource, trace_from_csv, trace_to_csv
 
@@ -56,7 +56,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("stats", parents=[seeded],
+    p = sub.add_parser("stats", parents=[common],
                        help="size, moments, and assortativity of an edge list")
     p.add_argument("edgelist", help="whitespace separated edge list file")
     p.add_argument("--raw", action="store_true",
@@ -77,8 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--edgelist", help="crawl this edge list file")
     src.add_argument("--pk", help=PK_HELP + " (generates a graph first; needs --nodes)")
     p.add_argument("--nodes", type=int, default=0)
-    p.add_argument("--technique", required=True,
-                   choices=["bfs", "dfs", "ff", "sbs", "rw", "mhrw", "wwor", "stub"])
+    p.add_argument("--technique", required=True, choices=experiments.TECHNIQUES)
     p.add_argument("--budget", type=int, required=True,
                    help="nodes to collect (steps, for walks)")
     p.add_argument("--seed-node", type=int, default=None,
@@ -93,9 +92,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("curves", parents=[configured],
                        help="run a replicated experiment from a JSON config")
     p.add_argument("--config", required=True)
-    p.set_defaults(func=cmd_curves)
+    p.set_defaults(func=cmd_run)
 
-    p = sub.add_parser("correct", parents=[seeded],
+    p = sub.add_parser("correct", parents=[common],
                        help="recover unbiased statistics from a trace CSV")
     p.add_argument("--trace", required=True)
     p.add_argument("--f", type=float, default=None,
@@ -106,7 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare", parents=[configured],
                        help="RMSE of neighborhood estimators vs corrected traversal")
     p.add_argument("--config", required=True)
-    p.set_defaults(func=cmd_compare)
+    p.set_defaults(func=cmd_run)
 
     return parser
 
@@ -125,7 +124,7 @@ def _open_out(path: str):
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
-    g = load_edge_list(args.edgelist, RAW if args.raw else None)
+    g = load_edge_list(args.edgelist, args.raw)
     row = stats_row(g)
     cols = ["nodes", "edges", "mean_degree", "k2_over_k", "assortativity"]
     with _open_out(args.out) as out:
@@ -136,7 +135,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
 def cmd_generate(args: argparse.Namespace) -> int:
     source = GraphSource("generate", pk=args.pk, nodes=args.nodes,
                          target_assortativity=args.assortativity)
-    g = experiments._build_graph(source, random.Random(args.rng_seed))
+    g = source.build(random.Random(args.rng_seed))
     with _open_out(args.out) as out:
         out.write(f"# pk {args.pk} nodes {args.nodes} rng_seed {args.rng_seed}\n")
         for u, v in g.edges():
@@ -151,9 +150,9 @@ def cmd_sample(args: argparse.Namespace) -> int:
                               f"not {args.technique}")
     rng = random.Random(args.rng_seed)
     if args.edgelist:
-        g = load_edge_list(args.edgelist, RAW if args.raw else None)
+        g = load_edge_list(args.edgelist, args.raw)
     else:
-        g = experiments._build_graph(GraphSource("generate", pk=args.pk, nodes=args.nodes), rng)
+        g = GraphSource("generate", pk=args.pk, nodes=args.nodes).build(rng)
     tech = experiments.TechniqueSpec(
         args.technique,  # only the technique's own flag is left set
         p=0.5 if args.ff_p is None and args.technique == "ff" else args.ff_p,
@@ -173,38 +172,18 @@ def cmd_sample(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_config(args: argparse.Namespace) -> experiments.ExperimentConfig:
+def cmd_run(args: argparse.Namespace) -> int:
+    """curves and compare: run a config under the subcommand its mode names."""
     cfg = experiments.load_config(args.config)
     if args.rng_seed is not None:
         cfg.master_seed = args.rng_seed
-    return cfg
-
-
-def cmd_curves(args: argparse.Namespace) -> int:
-    cfg = _load_config(args)
-    meta = [cfg.metadata_line()]
-    if cfg.mode == "analytic":
-        # nothing is simulated, so a generated source keeps its continuous law
-        if cfg.source.kind == "generate":
-            law = experiments.parse_pk_spec(cfg.source.pk)
-        else:
-            law = degree_distribution(load_edge_list(cfg.source.path))
-        rows = analytic.curve_rows(law, cfg.f_grid)
-        cols = ["f", "t", "mean_q", "q_k_json"]
-    elif cfg.mode == "bias":
-        rows = experiments.run_bias_curves(cfg)
-        cols = experiments.BIAS_COLUMNS
-    elif cfg.mode == "correction":
-        rows = experiments.run_correction_eval(cfg)
-        cols = experiments.CORRECTION_COLUMNS
-    elif cfg.mode == "assortativity":
-        rows = experiments.run_assortativity_sweep(cfg)
-        cols = experiments.SWEEP_COLUMNS
-    else:
-        raise ConfigError(f"mode {cfg.mode!r} is not a curves mode; "
-                          "use the compare subcommand for mode 'compare'")
+    mode = experiments.MODES[cfg.mode]
+    if mode.command != args.command:
+        raise ConfigError(f"mode {cfg.mode!r} runs under the {mode.command} subcommand, "
+                          f"not {args.command}")
+    rows = mode.run(cfg)
     with _open_out(args.out) as out:
-        experiments.write_rows_csv(rows, cols, out, metadata=meta)
+        experiments.write_rows_csv(rows, mode.columns, out, metadata=[cfg.metadata_line()])
     return 0
 
 
@@ -231,18 +210,6 @@ def cmd_correct(args: argparse.Namespace) -> int:
             "residual": "" if report.residual is None else report.residual,
         }
         experiments.write_rows_csv([row], cols, out)
-    return 0
-
-
-def cmd_compare(args: argparse.Namespace) -> int:
-    cfg = _load_config(args)
-    if cfg.mode != "compare":
-        raise ConfigError(f"mode {cfg.mode!r} is not the compare mode; "
-                          "use the curves subcommand for it")
-    rows = experiments.run_compare(cfg)
-    with _open_out(args.out) as out:
-        experiments.write_rows_csv(rows, experiments.COMPARE_COLUMNS, out,
-                                   metadata=[cfg.metadata_line()])
     return 0
 
 

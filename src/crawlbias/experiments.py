@@ -7,7 +7,7 @@ import hashlib
 import json
 import random
 from dataclasses import dataclass, field, replace
-from typing import IO, Callable, Iterable, Mapping, Sequence
+from typing import IO, Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from . import analytic
 from .estimators import ConvergenceError, bfs_correct, rmse_compare, rw_correct
@@ -66,6 +66,10 @@ def truncated_power_law(gamma: float, k_min: int, k_max: int) -> DegreeDistribut
     return DegreeDistribution(weights, normalize=True)
 
 
+#: Every technique run_technique runs, by name.
+TECHNIQUES = ("bfs", "dfs", "ff", "sbs", "rw", "mhrw", "wwor", "stub")
+
+
 @dataclass(frozen=True)
 class TechniqueSpec:
     """One sampling technique plus its parameters."""
@@ -74,10 +78,8 @@ class TechniqueSpec:
     p: float | None = None       # forest fire spread probability
     names: int | None = None     # snowball referrals per node
 
-    _KNOWN = ("bfs", "dfs", "ff", "sbs", "rw", "mhrw", "wwor", "stub")
-
     def __post_init__(self) -> None:
-        if self.name not in self._KNOWN:
+        if self.name not in TECHNIQUES:
             raise ConfigError(f"unknown technique {self.name!r}")
         if self.name == "ff":
             if (isinstance(self.p, bool) or not isinstance(self.p, (int, float))
@@ -119,16 +121,29 @@ class GraphSource:
     nodes: int = 0
     target_assortativity: float | None = None
     path: str | None = None
+    # pk parsed once, here, so a bad spec fails when the source is made
+    law: DegreeDistribution | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.kind == "generate":
             if not self.pk or self.nodes < 1:
                 raise ConfigError("generate source needs pk and nodes >= 1")
+            object.__setattr__(self, "law", parse_pk_spec(self.pk))
         elif self.kind == "file":
             if not self.path:
                 raise ConfigError("file source needs a path")
         else:
             raise ConfigError(f"unknown graph source {self.kind!r}")
+
+    def build(self, rng: random.Random) -> Graph:
+        """The file with the default cleanup, or a configuration-model graph on
+        the rounded degree sequence of pk, rewired to target_assortativity when set."""
+        if self.kind == "file":
+            return load_edge_list(self.path)
+        g = configuration_model(degree_sequence_from_distribution(self.law, self.nodes), rng)
+        if self.target_assortativity is not None:
+            g = rewire_to_assortativity(g, self.target_assortativity, rng).graph
+        return g
 
 
 @dataclass
@@ -141,12 +156,13 @@ class ExperimentConfig:
     replicas: int
     master_seed: int
     workers: int = 1
-    mode: str = "bias"           # bias | correction | compare | assortativity | analytic
+    mode: str = "bias"           # a key of MODES
     assortativity_targets: list[float] = field(default_factory=list)
     depth: int = 2
     rewire_tolerance: float = 0.02
 
     def __post_init__(self) -> None:
+        """Every mode rule is checked here, so a runner gets a config it can run."""
         if self.replicas < 1:
             raise ConfigError("replicas must be >= 1")
         if not self.f_grid and self.mode != "compare":
@@ -155,13 +171,21 @@ class ExperimentConfig:
             raise ConfigError("coverage values must lie in (0, 1]")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
-        if self.mode not in ("bias", "correction", "compare", "assortativity", "analytic"):
+        if self.mode not in MODES:
             raise ConfigError(f"unknown mode {self.mode!r}")
-        if self.techniques and self.mode in ("correction", "compare"):
-            raise ConfigError(f"mode {self.mode!r} crawls with bfs only and takes no techniques")
-        if self.mode == "assortativity" and self.source.target_assortativity is not None:
-            raise ConfigError("mode 'assortativity' rewires to each of assortativity_targets "
-                              "and takes no graph.generate.assortativity")
+        if self.techniques and self.mode not in ("bias", "assortativity"):
+            raise ConfigError(f"mode {self.mode!r} takes no techniques; only modes 'bias' "
+                              "and 'assortativity' read them")
+        if self.mode == "bias" and not self.techniques:
+            raise ConfigError("mode 'bias' needs at least one technique")
+        if self.mode == "assortativity":
+            if self.source.kind != "generate":
+                raise ConfigError("mode 'assortativity' needs a generated graph source")
+            if not self.assortativity_targets:
+                raise ConfigError("mode 'assortativity' needs assortativity_targets")
+            if self.source.target_assortativity is not None:
+                raise ConfigError("mode 'assortativity' rewires to each of assortativity_targets "
+                                  "and takes no graph.generate.assortativity")
 
     @classmethod
     def from_json(cls, doc: Mapping) -> "ExperimentConfig":
@@ -261,17 +285,6 @@ def load_config(path: str) -> ExperimentConfig:
     return ExperimentConfig.from_json(doc)
 
 
-def _build_graph(source: GraphSource, rng: random.Random) -> Graph:
-    if source.kind == "file":
-        return load_edge_list(source.path)
-    d = parse_pk_spec(source.pk)
-    seq = degree_sequence_from_distribution(d, source.nodes)
-    g = configuration_model(seq, rng)
-    if source.target_assortativity is not None:
-        g = rewire_to_assortativity(g, source.target_assortativity, rng).graph
-    return g
-
-
 def run_technique(g: Graph, component: Sequence[int], tech: TechniqueSpec,
                   budget: int, rng: random.Random) -> SampleTrace:
     """One sampling run; the start node is uniform over the largest component.
@@ -329,8 +342,7 @@ def _shared_setup(cfg: ExperimentConfig) -> Setup | None:
 def _replica_setup(cfg: ExperimentConfig, replica: int, shared: Setup | None) -> Setup:
     if shared is not None:
         return shared
-    return _setup(_build_graph(cfg.source,
-                               random.Random(derive_seed(cfg.master_seed, replica, "graph"))))
+    return _setup(cfg.source.build(random.Random(derive_seed(cfg.master_seed, replica, "graph"))))
 
 
 def _reference_law(cfg: ExperimentConfig, shared: Setup | None) -> DegreeDistribution:
@@ -341,8 +353,8 @@ def _reference_law(cfg: ExperimentConfig, shared: Setup | None) -> DegreeDistrib
     """
     if cfg.source.kind == "file":
         return degree_distribution(shared[0])
-    pk = parse_pk_spec(cfg.source.pk)
-    return DegreeDistribution.from_sequence(degree_sequence_from_distribution(pk, cfg.source.nodes))
+    return DegreeDistribution.from_sequence(
+        degree_sequence_from_distribution(cfg.source.law, cfg.source.nodes))
 
 
 # set by the pool initializer, in pool workers only
@@ -436,8 +448,6 @@ def _bias_rows(cfg: ExperimentConfig, shared: Setup | None,
 def run_bias_curves(cfg: ExperimentConfig) -> list[dict[str, object]]:
     """Mean sampled degree against coverage, per technique, with the
     analytic curve, the stationary walk level, and the true mean alongside."""
-    if not cfg.techniques:
-        raise ConfigError("bias curves need at least one technique")
     shared = _shared_setup(cfg)
     return _bias_rows(cfg, shared, _reference_law(cfg, shared))
 
@@ -449,9 +459,7 @@ def _correction_replica(cfg: ExperimentConfig, replica: int,
     rows = []
     for f in cfg.f_grid:
         rng = random.Random(derive_seed(cfg.master_seed, replica, f"correction:{f:g}"))
-        budget = max(1, round(f * n))
-        seed = component[rng.randrange(len(component))]
-        trace = bfs(g, seed, budget)
+        trace = run_technique(g, component, TechniqueSpec("bfs"), max(1, round(f * n)), rng)
         f_real = len(trace.nodes) / n
         sampled_mean = sum(trace.degrees) / len(trace.degrees)
         row = {
@@ -516,11 +524,19 @@ def _avg(rows: Sequence[Mapping[str, object]], key: str) -> float:
 def run_compare(cfg: ExperimentConfig) -> list[dict[str, object]]:
     """Neighborhood estimator vs coverage-corrected traversal at equal sample
     sizes, on a fully known graph."""
-    rng = random.Random(derive_seed(cfg.master_seed, 0, "graph"))
-    g = _build_graph(cfg.source, rng)
+    g = cfg.source.build(random.Random(derive_seed(cfg.master_seed, 0, "graph")))
     x = [float(k) for k in g.degrees()]
     cmp_rng = random.Random(derive_seed(cfg.master_seed, 0, "compare"))
     return rmse_compare(g, x, cfg.replicas, cmp_rng, depth=cfg.depth)
+
+
+def run_analytic(cfg: ExperimentConfig) -> list[dict[str, object]]:
+    """The predicted sampled degree at each coverage. Nothing is simulated, so
+    a generated source keeps its continuous pk and a file gives its own degrees."""
+    if cfg.source.kind == "file":
+        return analytic.curve_rows(degree_distribution(load_edge_list(cfg.source.path)),
+                                   cfg.f_grid)
+    return analytic.curve_rows(cfg.source.law, cfg.f_grid)
 
 
 def run_assortativity_sweep(cfg: ExperimentConfig) -> list[dict[str, object]]:
@@ -531,11 +547,7 @@ def run_assortativity_sweep(cfg: ExperimentConfig) -> list[dict[str, object]]:
     are skipped. Rewiring keeps every degree, so one reference law serves
     all targets.
     """
-    if cfg.source.kind != "generate":
-        raise ConfigError("assortativity sweep needs a generated graph source")
-    if not cfg.assortativity_targets:
-        raise ConfigError("assortativity sweep needs assortativity_targets")
-    base = _build_graph(cfg.source, random.Random(derive_seed(cfg.master_seed, 0, "graph")))
+    base = cfg.source.build(random.Random(derive_seed(cfg.master_seed, 0, "graph")))
     law = _reference_law(cfg, None)
     rows: list[dict[str, object]] = []
     for target in cfg.assortativity_targets:
@@ -656,3 +668,19 @@ SWEEP_COLUMNS = ["target_r", "achieved_r", "rewire_ok", "technique", "f", "repli
                  "empirical_mean", "analytic_mean", "rw_mean", "true_mean"]
 COMPARE_COLUMNS = ["method", "mean_estimate", "rmse", "replicas", "diag_iterations",
                    "diag_residual"]
+ANALYTIC_COLUMNS = ["f", "t", "mean_q", "q_k_json"]
+
+
+class Mode(NamedTuple):
+    command: str                 # the CLI subcommand that runs the mode
+    run: Callable[[ExperimentConfig], list[dict[str, object]]]
+    columns: list[str]
+
+
+MODES = {
+    "bias": Mode("curves", run_bias_curves, BIAS_COLUMNS),
+    "correction": Mode("curves", run_correction_eval, CORRECTION_COLUMNS),
+    "assortativity": Mode("curves", run_assortativity_sweep, SWEEP_COLUMNS),
+    "analytic": Mode("curves", run_analytic, ANALYTIC_COLUMNS),
+    "compare": Mode("compare", run_compare, COMPARE_COLUMNS),
+}

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from typing import IO, Iterable, Iterator, Mapping, Sequence
 
 
@@ -239,43 +238,31 @@ def induced_subgraph(g: Graph, nodes: Sequence[int]) -> Graph:
     return Graph(adj, labels)
 
 
-@dataclass(frozen=True)
-class LoadOptions:
-    """Preprocessing applied while loading an edge list.
-
-    The defaults mirror the usual cleanup for crawled snapshots: direction
-    ignored, duplicate edges collapsed, self-loops dropped, and the graph
-    restricted to its largest connected component.
-    """
-
-    collapse_duplicates: bool = True
-    drop_self_loops: bool = True
-    largest_component: bool = True
+#: load_edge_list's raw switch, by name: read the file verbatim as a multigraph
+#: (round-trips generated edge lists).
+RAW = True
 
 
-#: Read the file verbatim as a multigraph (round-trips generated edge lists).
-RAW = LoadOptions(collapse_duplicates=False, drop_self_loops=False, largest_component=False)
-
-
-def load_edge_list(source: str | IO[str] | Iterable[str],
-                   options: LoadOptions | None = None) -> Graph:
+def load_edge_list(source: str | IO[str] | Iterable[str], raw: bool = False) -> Graph:
     """Parse whitespace-separated node-id pairs, one edge per line.
 
     Blank lines and lines starting with '#' are skipped. Node ids may be
-    arbitrary integers; the original ids are kept in Graph.labels. They are
-    remapped to dense ids 0..n-1: in first-seen order when the whole graph is
-    kept, and with the default largest-component cleanup in the order
-    connected_components discovers the component, starting from its
-    first-seen node. Each node lists its neighbours in the file order of the
-    lines naming its edges; with duplicates collapsed, in the order each edge
-    is first seen, a kept self-loop as two entries at its first place. Seeded
-    runs on a file depend on this numbering and order.
+    arbitrary integers; the original ids are kept in Graph.labels. By default
+    the usual cleanup for crawled snapshots applies: direction ignored,
+    self-loops dropped, duplicate edges collapsed, and the graph restricted to
+    its largest connected component. With raw the file is kept verbatim as a
+    multigraph.
+
+    Ids are remapped to dense ids 0..n-1: in first-seen order when raw, and
+    otherwise in the order connected_components discovers the component,
+    starting from its first-seen node. Each node lists its neighbours in the
+    file order of the lines naming its edges; with the cleanup, in the order
+    each edge is first seen. Seeded runs on a file depend on this numbering
+    and order.
     """
-    if options is None:
-        options = LoadOptions()
     if isinstance(source, str):
         with open(source, "r", encoding="utf-8") as fh:
-            return load_edge_list(fh, options)
+            return load_edge_list(fh, raw)
 
     index: dict[int, int] = {}
     ends: list[int] = []  # dense ids, two per edge in file order
@@ -299,29 +286,26 @@ def load_edge_list(source: str | IO[str] | Iterable[str],
         raise ValueError("empty graph after preprocessing")
 
     adj: list[list[int]] = [[] for _ in labels]
-    keep_loops = not options.drop_self_loops
     pairs = iter(ends)
     for u, v in zip(pairs, pairs):
-        if keep_loops or u != v:
+        if raw or u != v:
             adj[u].append(v)
             adj[v].append(u)  # u == v appends twice: a self-loop adds 2 to the degree
     del ends, pairs
+    if raw:  # every id came from an edge, so the graph has one
+        return Graph(adj, labels)
 
     # the DFS skips a repeated neighbour as seen, so duplicates leave its order
     # unchanged; a component is closed under adjacency, so its rows need no
     # membership test, and they are local to this call, so they are rewritten in place
-    kept = largest_component_nodes(Graph(adj, labels)) if options.largest_component else range(n)
+    kept = largest_component_nodes(Graph(adj, labels))
     pos = [0] * n
     for i, v in enumerate(kept):
         pos[v] = i
-    collapse = options.collapse_duplicates
     for v in kept:
         # v's first entry for w comes from the line that first named the edge {v, w},
         # so dict.fromkeys keeps each edge's first-seen order
-        row = dict.fromkeys(adj[v]) if collapse else adj[v]
-        adj[v] = new = [pos[w] for w in row]
-        if collapse and v in row:  # a kept self-loop keeps both entries, at its first place
-            new.insert(new.index(pos[v]), pos[v])
+        adj[v] = [pos[w] for w in dict.fromkeys(adj[v])]
     g = Graph([adj[v] for v in kept], [labels[v] for v in kept])
     if g.edge_count == 0:
         raise ValueError("empty graph after preprocessing")

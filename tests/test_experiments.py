@@ -117,6 +117,8 @@ def test_config_from_json_and_validation():
         lambda d: d["techniques"][1].__setitem__("p", 1.5),
         lambda d: d["techniques"].append({"name": "sbs", "names": 1.5}),
         lambda d: d["techniques"].append({"name": "bfs", "p": 0.3}),
+        # the bias mode crawls with at least one technique
+        lambda d: d.__setitem__("techniques", []),
     ):
         bad = json.loads(json.dumps(doc))
         mutate(bad)
@@ -280,11 +282,19 @@ def test_run_assortativity_sweep_worker_invariant():
 
 def test_sweep_requires_targets_and_generated_source():
     with pytest.raises(ConfigError):
-        run_assortativity_sweep(_bias_cfg(mode="assortativity"))
-    cfg = _bias_cfg(mode="assortativity", assortativity_targets=[0.1],
-                    source=GraphSource("file", path="whatever.txt"))
+        _bias_cfg(mode="assortativity")
     with pytest.raises(ConfigError):
-        run_assortativity_sweep(cfg)
+        _bias_cfg(mode="assortativity", assortativity_targets=[0.1],
+                  source=GraphSource("file", path="whatever.txt"))
+
+
+def test_bad_pk_fails_when_the_config_is_read_in_every_mode():
+    # the source parses pk once, when it is made, so no mode meets a bad spec later
+    for mode in ("bias", "correction", "compare", "assortativity", "analytic"):
+        doc = {"graph": {"generate": {"pk": "powerlaw:2.5:oops", "nodes": 50}},
+               "f_grid": [0.5], "mode": mode}
+        with pytest.raises(ConfigError, match="bad degree distribution spec"):
+            ExperimentConfig.from_json(doc)
 
 
 def test_write_rows_csv_quoting_and_floats():
@@ -438,7 +448,8 @@ def test_cli_curves_json_pk_object(tmp_path):
         cfg = tmp_path / f"{mode}.json"
         cfg.write_text(json.dumps({
             "graph": {"generate": {"pk": pk, "nodes": 200}},
-            "techniques": ["bfs"], "f_grid": [0.5], "replicas": 2, "seed": 4, "mode": mode,
+            "f_grid": [0.5], "replicas": 2, "seed": 4, "mode": mode,
+            **({"techniques": ["bfs"]} if mode == "bias" else {}),
         }))
         out = tmp_path / f"{mode}.csv"
         assert _run_cli(["curves", "--config", str(cfg), "--out", str(out)]) == 0
@@ -532,8 +543,9 @@ def test_cli_exit_codes(tmp_path, capsys):
                                "techniques": ["bfs"], "f_grid": [0.5]}))
     assert _run_cli(["curves", "--config", str(bad)]) == 2
     assert "assortativity must be a number or null" in capsys.readouterr().err
-    # a technique list on correction or compare, and a base rewiring on a sweep, exit 2
-    for mode in ("correction", "compare"):
+    # a technique list on correction, compare or analytic, and a base rewiring on a
+    # sweep, exit 2
+    for mode in ("correction", "compare", "analytic"):
         bad.write_text(json.dumps({"graph": {"generate": {"pk": "regular:3", "nodes": 50}},
                                    "techniques": ["dfs"], "f_grid": [0.5], "mode": mode}))
         assert _run_cli([mode if mode == "compare" else "curves", "--config", str(bad)]) == 2
@@ -545,6 +557,15 @@ def test_cli_exit_codes(tmp_path, capsys):
                                "assortativity_targets": [0.0]}))
     assert _run_cli(["curves", "--config", str(bad)]) == 2
     assert "graph.generate.assortativity" in capsys.readouterr().err
+
+
+def test_cli_stats_and_correct_take_no_rng_seed(tmp_path, capsys):
+    # neither command draws a random number, so the flag is refused, not ignored
+    for command in (["stats", str(tmp_path / "g.txt")], ["correct", "--trace", "t.csv"]):
+        with pytest.raises(SystemExit) as exit_:
+            _run_cli([*command, "--rng-seed", "1"])
+        assert exit_.value.code == 2
+        assert "--rng-seed" in capsys.readouterr().err
 
 
 def test_cli_sample_parameter_defaults(tmp_path):

@@ -34,3 +34,22 @@ def test_public_names_resolve():
     missing = [name for name in crawlbias.__all__ if not hasattr(crawlbias, name)]
     assert missing == []
     assert len(set(crawlbias.__all__)) == len(crawlbias.__all__)
+
+
+def test_cli_uses_only_public_names_of_the_package():
+    # the front end goes through each module's public API; a private name it
+    # reaches for belongs in that module's API or in the module itself
+    tree = ast.parse((PACKAGE_DIR / "cli.py").read_text(encoding="utf-8"))
+    modules = set()
+    private = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("crawlbias")):
+            for alias in node.names:
+                if alias.name.startswith("_"):
+                    private.append(f"line {node.lineno} imports {alias.name}")
+                modules.add(alias.asname or alias.name)
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules and node.attr.startswith("_")):
+            private.append(f"line {node.lineno} uses {node.value.id}.{node.attr}")
+    assert private == []
