@@ -76,7 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--edgelist", help="crawl this edge list file")
     src.add_argument("--pk", help=PK_HELP + " (generates a graph first; needs --nodes)")
-    p.add_argument("--nodes", type=int, default=0)
+    p.add_argument("--nodes", type=int, default=None, help="nodes to generate, --pk only")
     p.add_argument("--technique", required=True, choices=experiments.TECHNIQUES)
     p.add_argument("--budget", type=int, required=True,
                    help="nodes to collect (steps, for walks)")
@@ -86,7 +86,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="spread probability, ff only (default 0.5)")
     p.add_argument("--sbs-n", type=int, default=None,
                    help="referrals per node, sbs only (default 2)")
-    p.add_argument("--raw", action="store_true")
+    p.add_argument("--raw", action="store_true",
+                   help="keep self loops, duplicate edges, and small components; "
+                        "--edgelist only")
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("curves", parents=[configured],
@@ -98,7 +100,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="recover unbiased statistics from a trace CSV")
     p.add_argument("--trace", required=True)
     p.add_argument("--f", type=float, default=None,
-                   help="fraction of the graph covered (needed for bfs correction)")
+                   help="fraction of the graph covered, --method bfs only "
+                        "(default: the trace's f)")
     p.add_argument("--method", choices=["bfs", "rw", "mhrw"], default="bfs")
     p.set_defaults(func=cmd_correct)
 
@@ -143,16 +146,26 @@ def cmd_generate(args: argparse.Namespace) -> int:
     return 0
 
 
+def _check_flags(*rules: tuple[str, bool, str, str]) -> None:
+    """(flag, given, owner, chosen): a flag given with another choice than its
+    owner would be ignored, so it fails and names itself."""
+    for flag, given, owner, chosen in rules:
+        if given and owner != chosen:
+            raise ConfigError(f"{flag} applies to {owner} only, not {chosen}")
+
+
 def cmd_sample(args: argparse.Namespace) -> int:
-    for flag, value, owner in (("--ff-p", args.ff_p, "ff"), ("--sbs-n", args.sbs_n, "sbs")):
-        if value is not None and args.technique != owner:
-            raise ConfigError(f"{flag} applies to --technique {owner} only, "
-                              f"not {args.technique}")
+    technique = f"--technique {args.technique}"
+    source = "--pk" if args.edgelist is None else "--edgelist"
+    _check_flags(("--ff-p", args.ff_p is not None, "--technique ff", technique),
+                 ("--sbs-n", args.sbs_n is not None, "--technique sbs", technique),
+                 ("--nodes", args.nodes is not None, "--pk", source),
+                 ("--raw", args.raw, "--edgelist", source))
     rng = random.Random(args.rng_seed)
-    if args.edgelist:
+    if args.edgelist is not None:
         g = load_edge_list(args.edgelist, args.raw)
     else:
-        g = GraphSource("generate", pk=args.pk, nodes=args.nodes).build(rng)
+        g = GraphSource("generate", pk=args.pk, nodes=args.nodes or 0).build(rng)
     tech = experiments.TechniqueSpec(
         args.technique,  # only the technique's own flag is left set
         p=0.5 if args.ff_p is None and args.technique == "ff" else args.ff_p,
@@ -175,12 +188,14 @@ def cmd_sample(args: argparse.Namespace) -> int:
 def cmd_run(args: argparse.Namespace) -> int:
     """curves and compare: run a config under the subcommand its mode names."""
     cfg = experiments.load_config(args.config)
-    if args.rng_seed is not None:
-        cfg.master_seed = args.rng_seed
     mode = experiments.MODES[cfg.mode]
     if mode.command != args.command:
         raise ConfigError(f"mode {cfg.mode!r} runs under the {mode.command} subcommand, "
                           f"not {args.command}")
+    if args.rng_seed is not None:
+        if "seed" not in mode.reads:
+            raise ConfigError(f"--rng-seed: mode {cfg.mode!r} reads no seed")
+        cfg.master_seed = args.rng_seed
     rows = mode.run(cfg)
     with _open_out(args.out) as out:
         experiments.write_rows_csv(rows, mode.columns, out, metadata=[cfg.metadata_line()])
@@ -188,6 +203,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_correct(args: argparse.Namespace) -> int:
+    _check_flags(("--f", args.f is not None, "--method bfs", f"--method {args.method}"))
     trace = trace_from_csv(args.trace)
     if args.method == "bfs":
         f_real = args.f if args.f is not None else trace.coverage

@@ -9,7 +9,7 @@ from typing import Callable, Sequence
 
 from .analytic import ConvergenceError, _implied_f, _inclusion, _solve_t
 from .graph import DegreeDistribution, Graph, ball
-from .samplers import SampleTrace, bfs
+from .samplers import SampleTrace, _make_trace
 
 
 @dataclass
@@ -241,7 +241,8 @@ def rmse_compare(g: Graph, x: Sequence[float], replicas: int, rng: random.Random
 
     Each replica draws a uniform seed; the half-radius scheme estimates from
     B_depth(seed), and the corrected traversal consumes a breadth-first sample
-    of the same size |B_depth(seed)| from the same seed. Estimates are
+    of the same size |B_depth(seed)| from the same seed, which is that ball in
+    discovery order, so one traversal serves both. Estimates are
     per-node means x_hat_tot / |V|; RMSE is against the true mean of x.
     """
     if replicas < 1:
@@ -255,8 +256,7 @@ def rmse_compare(g: Graph, x: Sequence[float], replicas: int, rng: random.Random
         seed = rng.randrange(n)
         rep = arbitrary_topology_estimate(g, x, seed, scheme)
         per_method.setdefault(rep.technique, []).append(rep.mean)
-        size = len(ball(g, seed, depth))
-        trace = bfs(g, seed, size)
+        trace = _make_trace("bfs", g, seed, list(ball(g, seed, depth)), False)
         xs = [x[v] for v in trace.nodes]
         rep = bfs_correct(trace, len(trace) / n, xs)
         per_method.setdefault(rep.technique, []).append(rep.mean)

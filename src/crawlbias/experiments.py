@@ -128,6 +128,9 @@ class GraphSource:
         if self.kind == "generate":
             if not self.pk or self.nodes < 1:
                 raise ConfigError("generate source needs pk and nodes >= 1")
+            r = self.target_assortativity
+            if r is not None and not -1.0 <= r <= 1.0:
+                raise ConfigError(f"assortativity must lie in [-1, 1], got {r!r}")
             object.__setattr__(self, "law", parse_pk_spec(self.pk))
         elif self.kind == "file":
             if not self.path:
@@ -162,34 +165,36 @@ class ExperimentConfig:
     rewire_tolerance: float = 0.02
 
     def __post_init__(self) -> None:
-        """Every mode rule is checked here, so a runner gets a config it can run."""
+        """Every value rule is checked here, so a runner gets a config it can run.
+        Which keys a mode reads is checked in from_json, where the JSON arrives."""
+        reads = _mode(self.mode).reads
         if self.replicas < 1:
             raise ConfigError("replicas must be >= 1")
-        if not self.f_grid and self.mode != "compare":
+        if not self.f_grid and "f_grid" in reads:
             raise ConfigError("f_grid must hold at least one coverage value")
         if any(not 0.0 < f <= 1.0 for f in self.f_grid):
             raise ConfigError("coverage values must lie in (0, 1]")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
-        if self.mode not in MODES:
-            raise ConfigError(f"unknown mode {self.mode!r}")
-        if self.techniques and self.mode not in ("bias", "assortativity"):
-            raise ConfigError(f"mode {self.mode!r} takes no techniques; only modes 'bias' "
-                              "and 'assortativity' read them")
         if self.mode == "bias" and not self.techniques:
             raise ConfigError("mode 'bias' needs at least one technique")
+        if any(not -1.0 <= r <= 1.0 for r in self.assortativity_targets):
+            raise ConfigError(f"assortativity_targets must lie in [-1, 1], "
+                              f"got {self.assortativity_targets!r}")
+        if not self.rewire_tolerance >= 0.0:
+            raise ConfigError(f"rewire_tolerance must be >= 0, got {self.rewire_tolerance!r}")
         if self.mode == "assortativity":
             if self.source.kind != "generate":
                 raise ConfigError("mode 'assortativity' needs a generated graph source")
             if not self.assortativity_targets:
                 raise ConfigError("mode 'assortativity' needs assortativity_targets")
-            if self.source.target_assortativity is not None:
-                raise ConfigError("mode 'assortativity' rewires to each of assortativity_targets "
-                                  "and takes no graph.generate.assortativity")
 
     @classmethod
     def from_json(cls, doc: Mapping) -> "ExperimentConfig":
-        _check_keys(doc, _CONFIG_KEYS, "config")
+        if not isinstance(doc, Mapping):
+            raise ConfigError("config must be a JSON object")
+        mode = _typed("mode", doc.get("mode", "bias"), str, "a string")
+        _check_reads(doc, mode)
         graph = doc.get("graph")
         if not isinstance(graph, Mapping):
             raise ConfigError("config needs a graph section")
@@ -215,7 +220,7 @@ class ExperimentConfig:
             replicas=_integer(doc, "replicas", 1),
             master_seed=_integer(doc, "seed", 0),
             workers=_integer(doc, "workers", 1),
-            mode=str(doc.get("mode", "bias")),
+            mode=mode,
             assortativity_targets=_numbers("assortativity_targets",
                                            doc.get("assortativity_targets", [])),
             depth=_integer(doc, "depth", 2),
@@ -224,21 +229,47 @@ class ExperimentConfig:
         )
 
     def metadata_line(self) -> str:
-        doc = {
-            "graph": ({"generate": {"pk": self.source.pk, "nodes": self.source.nodes,
-                                    "assortativity": self.source.target_assortativity}}
-                      if self.source.kind == "generate" else {"file": self.source.path}),
+        """The keys the mode reads, with the values that ran. workers is left
+        out: no output depends on it, so serial and pool runs write the same line."""
+        reads = _mode(self.mode).reads
+        gen = {"pk": self.source.pk, "nodes": self.source.nodes}
+        if _REWIRED in reads:
+            gen["assortativity"] = self.source.target_assortativity
+        echo = {
+            "graph": {"generate": gen} if self.source.kind == "generate"
+                     else {"file": self.source.path},
+            "mode": self.mode,
             "techniques": [t.tag for t in self.techniques],
             "f_grid": self.f_grid,
             "replicas": self.replicas,
             "seed": self.master_seed,
-            "mode": self.mode,
+            "assortativity_targets": self.assortativity_targets,
+            "rewire_tolerance": self.rewire_tolerance,
+            "depth": self.depth,
         }
-        return "config " + json.dumps(doc, sort_keys=True)
+        return "config " + json.dumps({k: v for k, v in echo.items() if k in reads},
+                                      sort_keys=True)
 
 
-_CONFIG_KEYS = ("graph", "techniques", "f_grid", "replicas", "seed", "workers", "mode",
-                "assortativity_targets", "depth", "rewire_tolerance")
+def _mode(name: str) -> "Mode":
+    try:
+        return MODES[name]
+    except KeyError:
+        raise ConfigError(f"unknown mode {name!r}") from None
+
+
+def _check_reads(doc: Mapping, mode: str) -> None:
+    """A key the mode does not read, a typo among them, fails naming the mode,
+    instead of running with the key ignored."""
+    reads = _mode(mode).reads
+    unread = set(doc) - set(reads)
+    graph = doc.get("graph")
+    gen = graph.get("generate") if isinstance(graph, Mapping) else None
+    if isinstance(gen, Mapping) and "assortativity" in gen and _REWIRED not in reads:
+        unread.add(_REWIRED)
+    if unread:
+        raise ConfigError(f"mode {mode!r} does not read key(s) "
+                          f"{', '.join(map(repr, sorted(unread)))}; it reads {', '.join(reads)}")
 
 
 def _check_keys(obj: object, known: Sequence[str], where: str) -> None:
@@ -547,7 +578,9 @@ def run_assortativity_sweep(cfg: ExperimentConfig) -> list[dict[str, object]]:
     are skipped. Rewiring keeps every degree, so one reference law serves
     all targets.
     """
-    base = cfg.source.build(random.Random(derive_seed(cfg.master_seed, 0, "graph")))
+    # the sweep rewires to its own targets only, so a source's target is not applied
+    unrewired = replace(cfg.source, target_assortativity=None)
+    base = unrewired.build(random.Random(derive_seed(cfg.master_seed, 0, "graph")))
     law = _reference_law(cfg, None)
     rows: list[dict[str, object]] = []
     for target in cfg.assortativity_targets:
@@ -675,12 +708,23 @@ class Mode(NamedTuple):
     command: str                 # the CLI subcommand that runs the mode
     run: Callable[[ExperimentConfig], list[dict[str, object]]]
     columns: list[str]
+    reads: tuple[str, ...]       # the config keys run reads; a nested key is dotted
 
+
+# The rewiring target of a generated source: read by every mode whose graph comes
+# from GraphSource.build, but not by the sweep, which rewires to its own targets.
+_REWIRED = "graph.generate.assortativity"
 
 MODES = {
-    "bias": Mode("curves", run_bias_curves, BIAS_COLUMNS),
-    "correction": Mode("curves", run_correction_eval, CORRECTION_COLUMNS),
-    "assortativity": Mode("curves", run_assortativity_sweep, SWEEP_COLUMNS),
-    "analytic": Mode("curves", run_analytic, ANALYTIC_COLUMNS),
-    "compare": Mode("compare", run_compare, COMPARE_COLUMNS),
+    "bias": Mode("curves", run_bias_curves, BIAS_COLUMNS,
+                 ("graph", "mode", _REWIRED, "techniques", "f_grid", "replicas", "seed",
+                  "workers")),
+    "correction": Mode("curves", run_correction_eval, CORRECTION_COLUMNS,
+                       ("graph", "mode", _REWIRED, "f_grid", "replicas", "seed", "workers")),
+    "assortativity": Mode("curves", run_assortativity_sweep, SWEEP_COLUMNS,
+                          ("graph", "mode", "techniques", "f_grid", "replicas", "seed",
+                           "workers", "assortativity_targets", "rewire_tolerance")),
+    "analytic": Mode("curves", run_analytic, ANALYTIC_COLUMNS, ("graph", "mode", "f_grid")),
+    "compare": Mode("compare", run_compare, COMPARE_COLUMNS,
+                    ("graph", "mode", _REWIRED, "replicas", "seed", "depth")),
 }

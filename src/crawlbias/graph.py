@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from collections import Counter
-from typing import IO, Iterable, Iterator, Mapping, Sequence
+from typing import IO, Iterable, Iterator, KeysView, Mapping, Sequence
 
 
 class GraphFormatError(ValueError):
@@ -175,13 +175,15 @@ def assortativity(g: Graph) -> float | None:
     return (s11 / m - mean * mean) / var
 
 
-def ball(g: Graph, center: int, radius: int) -> set[int]:
-    """All nodes within `radius` hops of `center`, center included."""
+def ball(g: Graph, center: int, radius: int) -> KeysView[int]:
+    """All nodes within `radius` hops of `center`, center included, as a
+    set-like view in breadth-first discovery order: the ball is the first
+    len(ball) nodes of bfs(g, center, ...), in the same order."""
     if not 0 <= center < g.node_count:
         raise ValueError(f"unknown node {center}")
     if radius < 0:
         raise ValueError("radius must be >= 0")
-    seen = {center}
+    seen = {center: None}  # a dict keeps discovery order
     frontier = [center]
     adj = g.adjacency
     for _ in range(radius):
@@ -189,12 +191,12 @@ def ball(g: Graph, center: int, radius: int) -> set[int]:
         for u in frontier:
             for w in adj[u]:
                 if w not in seen:
-                    seen.add(w)
+                    seen[w] = None
                     nxt.append(w)
         if not nxt:
             break
         frontier = nxt
-    return seen
+    return seen.keys()
 
 
 def connected_components(g: Graph) -> list[list[int]]:

@@ -126,8 +126,12 @@ def test_config_from_json_and_validation():
             ExperimentConfig.from_json(bad)
 
     # a value of the wrong JSON type fails naming its key: it is neither coerced
-    # (true as 1 replica, 1.9 as 1) nor left to fail later with a TypeError
+    # (true as 1 replica, 1.9 as 1) nor left to fail later with a TypeError. Each
+    # case runs in a mode that reads its key.
     gen = ("graph", "generate")
+    sweep = dict(json.loads(json.dumps(doc)), mode="assortativity", assortativity_targets=[0.1])
+    compare = {"graph": doc["graph"], "mode": "compare"}
+    reader = {"depth": compare, "rewire_tolerance": sweep, "assortativity_targets": sweep}
     for where, key, value in (
         ((), "replicas", True), ((), "replicas", 1.9), (gen, "nodes", 10.7),
         ((), "seed", 1.5), ((), "f_grid", [True]), ((), "f_grid", "0.5"),
@@ -136,21 +140,23 @@ def test_config_from_json_and_validation():
         ((), "assortativity_targets", [0.1, None]), ((), "assortativity_targets", 0.1),
         ((), "techniques", "bfs"), (("graph",), "file", 5),
     ):
-        bad = json.loads(json.dumps(doc))
+        bad = json.loads(json.dumps(reader.get(key, doc)))
         if key == "file":
             bad["graph"] = {}
         section = bad
         for name in where:
             section = section[name]
         section[key] = value
-        with pytest.raises(ConfigError, match=key):
+        with pytest.raises(ConfigError, match=rf"{key}.*must be"):
             ExperimentConfig.from_json(bad)
     # ... while an integer stands for a number and null for no rewiring
     ok = json.loads(json.dumps(doc))
-    ok.update(f_grid=[1], rewire_tolerance=0)
+    ok.update(f_grid=[1])
     ok["graph"]["generate"]["assortativity"] = None
     cfg = ExperimentConfig.from_json(ok)
     assert cfg.f_grid == [1.0] and cfg.source.target_assortativity is None
+    cfg = ExperimentConfig.from_json(dict(sweep, rewire_tolerance=0, assortativity_targets=[0]))
+    assert cfg.rewire_tolerance == 0.0 and cfg.assortativity_targets == [0.0]
 
     # a key the mode does not read fails naming the key and the mode: correction and
     # compare crawl with bfs only, and a sweep rewires to its own targets
@@ -158,8 +164,10 @@ def test_config_from_json_and_validation():
         bad = dict(json.loads(json.dumps(doc)), mode=mode)
         with pytest.raises(ConfigError, match=rf"mode '{mode}'.*techniques"):
             ExperimentConfig.from_json(bad)
-        assert ExperimentConfig.from_json(dict(bad, techniques=[])).mode == mode
-    sweep = dict(json.loads(json.dumps(doc)), mode="assortativity", assortativity_targets=[0.1])
+        del bad["techniques"]
+        if mode == "compare":
+            del bad["f_grid"]
+        assert ExperimentConfig.from_json(bad).mode == mode
     assert ExperimentConfig.from_json(sweep).mode == "assortativity"
     sweep["graph"]["generate"]["assortativity"] = 0.2
     with pytest.raises(ConfigError, match="mode 'assortativity'.*graph.generate.assortativity"):
@@ -286,13 +294,19 @@ def test_sweep_requires_targets_and_generated_source():
     with pytest.raises(ConfigError):
         _bias_cfg(mode="assortativity", assortativity_targets=[0.1],
                   source=GraphSource("file", path="whatever.txt"))
+    # the sweep reads its own targets only: a rewiring target on the source is not applied
+    cfg = _bias_cfg(techniques=[TechniqueSpec("bfs")], replicas=1, mode="assortativity",
+                    assortativity_targets=[0.0])
+    rewired = replace(cfg, source=GraphSource("generate", pk="bimodal:2:6:0.5", nodes=300,
+                                              target_assortativity=0.3))
+    assert run_assortativity_sweep(rewired) == run_assortativity_sweep(cfg)
 
 
 def test_bad_pk_fails_when_the_config_is_read_in_every_mode():
     # the source parses pk once, when it is made, so no mode meets a bad spec later
     for mode in ("bias", "correction", "compare", "assortativity", "analytic"):
-        doc = {"graph": {"generate": {"pk": "powerlaw:2.5:oops", "nodes": 50}},
-               "f_grid": [0.5], "mode": mode}
+        doc = {"graph": {"generate": {"pk": "powerlaw:2.5:oops", "nodes": 50}}, "mode": mode,
+               **({} if mode == "compare" else {"f_grid": [0.5]})}
         with pytest.raises(ConfigError, match="bad degree distribution spec"):
             ExperimentConfig.from_json(doc)
 
@@ -419,6 +433,11 @@ def test_cli_curves_bias_deterministic(tmp_path):
     assert _run_cli(["curves", "--config", str(cfg), "--out", str(out1)]) == 0
     assert _run_cli(["curves", "--config", str(cfg), "--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+    # the bias mode echoes every key it reads but workers, as it always has
+    assert out1.read_text().splitlines()[0] == (
+        '# config {"f_grid": [0.25, 0.75], "graph": {"generate": {"assortativity": null, '
+        '"nodes": 200, "pk": "bimodal:2:6:0.5"}}, "mode": "bias", "replicas": 3, "seed": 21, '
+        '"techniques": ["bfs", "wwor"]}')
     rows = [r for r in csv.DictReader(l for l in open(out1) if not l.startswith("#"))]
     assert len(rows) == 4
     assert {r["technique"] for r in rows} == {"bfs", "wwor"}
@@ -429,8 +448,6 @@ def test_cli_curves_analytic_mode(tmp_path):
     cfg.write_text(json.dumps({
         "graph": {"generate": {"pk": "bimodal:1:3:0.5", "nodes": 10}},
         "f_grid": [0.6875],
-        "replicas": 1,
-        "seed": 0,
         "mode": "analytic",
     }))
     out = tmp_path / "an.csv"
@@ -448,8 +465,8 @@ def test_cli_curves_json_pk_object(tmp_path):
         cfg = tmp_path / f"{mode}.json"
         cfg.write_text(json.dumps({
             "graph": {"generate": {"pk": pk, "nodes": 200}},
-            "f_grid": [0.5], "replicas": 2, "seed": 4, "mode": mode,
-            **({"techniques": ["bfs"]} if mode == "bias" else {}),
+            "f_grid": [0.5], "mode": mode,
+            **({"techniques": ["bfs"], "replicas": 2, "seed": 4} if mode == "bias" else {}),
         }))
         out = tmp_path / f"{mode}.csv"
         assert _run_cli(["curves", "--config", str(cfg), "--out", str(out)]) == 0
@@ -472,6 +489,23 @@ def test_cli_rng_seed_zero_overrides_config_seed(tmp_path):
     assert outputs["override"] == outputs["zero"] != outputs["five"]
 
 
+def test_cli_correction_output_is_worker_invariant(tmp_path):
+    # the '#' line included: no output depends on the worker count
+    edge_file = tmp_path / "g.txt"
+    assert _run_cli(["generate", "--pk", "bimodal:2:6:0.5", "--nodes", "300",
+                     "--rng-seed", "3", "--out", str(edge_file)]) == 0
+    outs = []
+    for workers in (1, 2):
+        cfg = tmp_path / f"w{workers}.json"
+        cfg.write_text(json.dumps({"graph": {"file": str(edge_file)}, "mode": "correction",
+                                   "f_grid": [0.2, 0.7], "replicas": 3, "seed": 5,
+                                   "workers": workers}))
+        outs.append(tmp_path / f"w{workers}.csv")
+        assert _run_cli(["curves", "--config", str(cfg), "--out", str(outs[-1])]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+    assert outs[0].read_text().startswith("# config {")
+
+
 def test_cli_correct_bfs_without_coverage_asks_for_f(tmp_path, capsys):
     trace_file = tmp_path / "t.csv"
     trace_file.write_text("position,node,degree,x_value\n0,0,3,\n1,1,2,\n2,2,4,\n")
@@ -485,13 +519,15 @@ def test_cli_compare_mode(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
         "graph": {"generate": {"pk": "bimodal:2:6:0.5", "nodes": 150}},
-        "f_grid": [0.5],
         "replicas": 5,
         "seed": 2,
+        "depth": 3,
         "mode": "compare",
     }))
     out = tmp_path / "cmp.csv"
     assert _run_cli(["compare", "--config", str(cfg), "--out", str(out)]) == 0
+    meta = out.read_text().splitlines()[0]
+    assert json.loads(meta[len("# config "):])["depth"] == 3
     methods = [r["method"] for r in
                csv.DictReader(l for l in open(out) if not l.startswith("#"))]
     assert "arb-half_radius" in methods and "bfs-corrected" in methods
@@ -557,6 +593,100 @@ def test_cli_exit_codes(tmp_path, capsys):
                                "assortativity_targets": [0.0]}))
     assert _run_cli(["curves", "--config", str(bad)]) == 2
     assert "graph.generate.assortativity" in capsys.readouterr().err
+    # a flag its command would ignore fails and names itself
+    trace_file = tmp_path / "t.csv"
+    assert _run_cli(["sample", "--edgelist", str(tri), "--technique", "rw", "--budget", "5",
+                     "--out", str(trace_file)]) == 0
+    for flag, argv in (
+            ("--f", ["correct", "--trace", str(trace_file), "--method", "rw", "--f", "0.7"]),
+            ("--nodes", ["sample", "--edgelist", str(tri), "--nodes", "99",
+                         "--technique", "bfs", "--budget", "2"]),
+            ("--raw", ["sample", "--pk", "regular:3", "--nodes", "20", "--raw",
+                       "--technique", "bfs", "--budget", "4"])):
+        assert _run_cli(argv) == 2
+        assert flag in capsys.readouterr().err
+    # an assortativity no graph can have (r lies in [-1, 1]) or a negative tolerance
+    # fails when the source or config is made, naming its key
+    assert _run_cli(["generate", "--pk", "powerlaw:2.5:2:50", "--nodes", "500",
+                     "--assortativity", "5"]) == 2
+    assert "assortativity" in capsys.readouterr().err
+    sweep = {"graph": {"generate": {"pk": "powerlaw:2.5:2:10", "nodes": 50}},
+             "techniques": ["bfs"], "f_grid": [0.5], "mode": "assortativity",
+             "assortativity_targets": [0.0]}
+    for key, doc in (
+            ("assortativity", {"graph": {"generate": {"pk": "regular:3", "nodes": 50,
+                                                      "assortativity": -1.5}},
+                               "techniques": ["bfs"], "f_grid": [0.5]}),
+            ("assortativity_targets", dict(sweep, assortativity_targets=[0.1, 3.0])),
+            ("rewire_tolerance", dict(sweep, rewire_tolerance=-0.01))):
+        bad.write_text(json.dumps(doc))
+        assert _run_cli(["curves", "--config", str(bad)]) == 2
+        assert key in capsys.readouterr().err
+    # a config key its mode never reads fails naming the mode and every such key,
+    # sorted; --rng-seed on a mode that draws nothing fails too
+    for mode, extra, unread in (
+            ("analytic", {"depth": 9, "workers": 2, "replicas": 3, "rewire_tolerance": 0.5,
+                          "assortativity_targets": [0.2]},
+             ["assortativity_targets", "depth", "graph.generate.assortativity", "replicas",
+              "rewire_tolerance", "workers"]),
+            ("bias", {"techniques": ["bfs"], "depth": 3}, ["depth"]),
+            ("compare", {"f_grid": [0.5], "workers": 2}, ["f_grid", "workers"])):
+        gen = {"pk": "regular:3", "nodes": 50}
+        if mode == "analytic":
+            gen["assortativity"] = 0.1
+        bad.write_text(json.dumps({"graph": {"generate": gen}, "f_grid": [0.5], "mode": mode,
+                                   **extra}))
+        assert _run_cli([mode if mode == "compare" else "curves", "--config", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert f"mode {mode!r}" in err and ", ".join(map(repr, unread)) in err
+    bad.write_text(json.dumps({"graph": {"generate": {"pk": "regular:3", "nodes": 50}},
+                               "f_grid": [0.5], "mode": "analytic"}))
+    assert _run_cli(["curves", "--config", str(bad), "--rng-seed", "5"]) == 2
+    assert "--rng-seed" in capsys.readouterr().err
+
+
+# Which config keys each mode reads, written out here rather than read from
+# experiments.MODES; every mode also reads graph and mode.
+MODE_READS = {
+    "bias": ["techniques", "f_grid", "replicas", "seed", "workers",
+             "graph.generate.assortativity"],
+    "correction": ["f_grid", "replicas", "seed", "workers", "graph.generate.assortativity"],
+    "assortativity": ["techniques", "f_grid", "replicas", "seed", "workers",
+                      "assortativity_targets", "rewire_tolerance"],
+    "compare": ["replicas", "seed", "depth", "graph.generate.assortativity"],
+    "analytic": ["f_grid"],
+}
+KEY_VALUES = {"techniques": ["bfs"], "f_grid": [0.5], "replicas": 2, "seed": 3, "workers": 2,
+              "assortativity_targets": [0.0], "rewire_tolerance": 0.05, "depth": 2,
+              "graph.generate.assortativity": 0.0}
+
+
+def _config_with(mode, keys):
+    doc = {"graph": {"generate": {"pk": "regular:3", "nodes": 50}}, "mode": mode}
+    for key in keys:
+        if key == "graph.generate.assortativity":
+            doc["graph"]["generate"]["assortativity"] = KEY_VALUES[key]
+        else:
+            doc[key] = KEY_VALUES[key]
+    return doc
+
+
+def test_each_mode_reads_its_own_keys_and_echoes_them(tmp_path, capsys):
+    for mode, row in MODE_READS.items():
+        # exactly the row is accepted, and the '#' line echoes it all but workers
+        cfg = ExperimentConfig.from_json(_config_with(mode, row))
+        echo = json.loads(cfg.metadata_line()[len("config "):])
+        assert set(echo) == {"graph", "mode"} | {k for k in row if "." not in k} - {"workers"}
+        assert ("assortativity" in echo["graph"]["generate"]) == (
+            "graph.generate.assortativity" in row)
+        # every key outside the row exits 2 naming the key and the mode
+        command = "compare" if mode == "compare" else "curves"
+        for key in sorted(set(KEY_VALUES) - set(row)):
+            path = tmp_path / f"{mode}-{key}.json"
+            path.write_text(json.dumps(_config_with(mode, [*row, key])))
+            assert _run_cli([command, "--config", str(path)]) == 2
+            err = capsys.readouterr().err
+            assert f"mode {mode!r} does not read key(s) {key!r};" in err
 
 
 def test_cli_stats_and_correct_take_no_rng_seed(tmp_path, capsys):
