@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import chain, repeat
 from typing import Sequence
 
 from .graph import DegreeDistribution, Graph, assortativity
@@ -39,13 +40,26 @@ def configuration_model(degrees: Sequence[int], rng: random.Random) -> Graph:
 
     Self-loops and parallel edges are kept, exactly as the matching produces
     them; a self-loop contributes 2 to its node's degree.
+
+    The shuffle makes exactly the rng.getrandbits calls that
+    random.Random.shuffle makes, so a seeded graph, and the state rng is
+    left in, are the same as with rng.shuffle (checked on Python 3.10-3.13).
     """
-    stubs = [v for v, k in enumerate(degrees) for _ in range(k)]
+    stubs = list(chain.from_iterable(map(repeat, range(len(degrees)), degrees)))
     if len(stubs) % 2:
         raise ValueError("degree sequence has an odd stub total")
-    rng.shuffle(stubs)
+    # rng.shuffle's Fisher-Yates loop, with samplers._randbelow(getrandbits,
+    # i + 1) inlined: a Python-level call per stub is what rng.shuffle costs
+    getrandbits = rng.getrandbits
+    for i in range(len(stubs) - 1, 0, -1):
+        k = (i + 1).bit_length()
+        j = getrandbits(k)
+        while j > i:
+            j = getrandbits(k)
+        stubs[i], stubs[j] = stubs[j], stubs[i]
     adj: list[list[int]] = [[] for _ in degrees]
-    for a, b in zip(stubs[::2], stubs[1::2]):
+    pairs = iter(stubs)
+    for a, b in zip(pairs, pairs):
         adj[a].append(b)
         adj[b].append(a)
     return Graph(adj)
@@ -69,8 +83,14 @@ def rewire_to_assortativity(g: Graph, target_r: float, rng: random.Random,
     that already exists, and accepted only if it moves r strictly closer to
     the target. Degrees never change, so |r - target| is non-increasing.
     Stops at |r - target| <= tolerance or after max_steps proposals
-    (default 100 * edge_count) and reports the achieved r.
+    (default 100 * edge_count) and reports the achieved r. Raises
+    ValueError, before any proposal, for a target_r outside [-1, 1] or a
+    negative tolerance.
     """
+    if not -1.0 <= target_r <= 1.0:
+        raise ValueError(f"target_r must lie in [-1, 1], got {target_r!r}")
+    if not tolerance >= 0.0:
+        raise ValueError(f"tolerance must be >= 0, got {tolerance!r}")
     if g.edge_count < 2:
         raise ValueError("need at least two edges to rewire")
     r0 = assortativity(g)

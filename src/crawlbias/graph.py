@@ -162,12 +162,11 @@ def assortativity(g: Graph) -> float | None:
         return None
     deg = g.degrees()
     m = 2 * g.edge_count
-    s1 = s2 = s11 = 0.0
-    for u, v in g.edges():
-        ku, kv = deg[u], deg[v]
-        s1 += ku + kv
-        s2 += ku * ku + kv * kv
-        s11 += 2.0 * ku * kv
+    # sums over adjacency entries, i.e. over both orientations of each edge;
+    # integers, so the float results below do not depend on summation order
+    s1 = sum(k * k for k in deg)
+    s2 = sum(k * k * k for k in deg)
+    s11 = sum(k * sum(map(deg.__getitem__, nbrs)) for k, nbrs in zip(deg, g.adjacency))
     mean = s1 / m
     var = s2 / m - mean * mean
     if var <= 1e-15 * max(1.0, mean * mean):

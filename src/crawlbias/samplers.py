@@ -11,7 +11,7 @@ import random
 from collections import deque
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .graph import Graph
 
@@ -91,6 +91,22 @@ def assign_stub_indices(degrees: Sequence[int], rng: random.Random) -> StubAssig
             return StubAssignment(rows)
         except ValueError:
             continue  # collision has probability ~0; redraw if it happens
+
+
+def _randbelow(getrandbits: Callable[[int], int], n: int) -> int:
+    """A uniform int in [0, n), drawn exactly as random.Random.randrange(n)
+    draws it: n.bit_length() random bits, redrawn while the value is >= n.
+
+    Taking rng.getrandbits and skipping randrange's two Python-level calls
+    halves the cost of a walk step and leaves the RNG stream as it was.
+    """
+    if n < 1:
+        raise ValueError("empty range for _randbelow")  # getrandbits(0) is 0: no end
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
 
 
 def _check_node(g: Graph, v: int) -> None:
@@ -253,11 +269,12 @@ def random_walk(g: Graph, seed: int, steps: int, rng: random.Random) -> SampleTr
     adj = g.adjacency
     if steps > 1 and not adj[seed]:
         raise ValueError("walk started on an isolated node")
+    getrandbits = rng.getrandbits
     nodes = [seed]
     u = seed
     for _ in range(steps - 1):
         nbrs = adj[u]
-        u = nbrs[rng.randrange(len(nbrs))]
+        u = nbrs[_randbelow(getrandbits, len(nbrs))]
         nodes.append(u)
     return _make_trace("rw", g, seed, nodes, True)
 
@@ -275,14 +292,15 @@ def mhrw(g: Graph, seed: int, steps: int, rng: random.Random) -> SampleTrace:
     adj = g.adjacency
     if steps > 1 and not adj[seed]:
         raise ValueError("walk started on an isolated node")
+    getrandbits, draw = rng.getrandbits, rng.random
     nodes = [seed]
     u = seed
     ku = len(adj[u])
     for _ in range(steps - 1):
         nbrs = adj[u]
-        w = nbrs[rng.randrange(ku)]
+        w = nbrs[_randbelow(getrandbits, ku)]
         kw = len(adj[w])
-        if kw <= ku or rng.random() * kw < ku:
+        if kw <= ku or draw() * kw < ku:
             u = w
             ku = kw
         nodes.append(u)

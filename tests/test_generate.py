@@ -126,6 +126,25 @@ def test_rewire_rejects_regular_graph():
         rewire_to_assortativity(g, 0.5, random.Random(0))
 
 
+def test_rewire_rejects_target_outside_unit_interval():
+    g = _irregular_graph()
+    for target in (5.0, -1.5, float("nan")):
+        rng = random.Random(0)
+        state = rng.getstate()
+        with pytest.raises(ValueError, match="target_r must lie in"):
+            rewire_to_assortativity(g, target, rng)
+        assert rng.getstate() == state  # refused before any proposal
+
+
+def test_rewire_rejects_negative_tolerance():
+    g = _irregular_graph()
+    rng = random.Random(0)
+    state = rng.getstate()
+    with pytest.raises(ValueError, match="tolerance must be >= 0"):
+        rewire_to_assortativity(g, 0.1, rng, tolerance=-0.5)
+    assert rng.getstate() == state
+
+
 def test_rewire_gap_never_widens():
     # the acceptance rule is strict improvement, so replaying the public
     # result at several intermediate step caps must approach the target

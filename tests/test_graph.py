@@ -8,9 +8,9 @@ import tracemalloc
 import pytest
 
 from crawlbias import (DegreeDistribution, Graph, GraphFormatError, RAW,
-                       assortativity, ball, cli, connected_components, degree_distribution,
-                       induced_subgraph, largest_component_nodes, load_edge_list, moments,
-                       stats_row)
+                       assortativity, ball, cli, configuration_model, connected_components,
+                       degree_distribution, degree_sequence_from_distribution, induced_subgraph,
+                       largest_component_nodes, load_edge_list, moments, stats_row)
 from crawlbias.experiments import ExperimentConfig, GraphSource, TechniqueSpec, _shared_setup
 
 
@@ -309,3 +309,29 @@ def test_assortativity_matches_direct_pearson():
     var = sum((a - mx) ** 2 for a, _ in pairs) / m
     assert assortativity(g) == pytest.approx(cov / var)
     assert not math.isnan(assortativity(g))
+
+
+def test_assortativity_equals_per_edge_definition_on_multigraphs():
+    # the per-edge float sums assortativity used to make; its integer row
+    # sums must give the identical float, self-loops and parallel edges included
+    def per_edge(g):
+        deg = g.degrees()
+        m = 2 * g.edge_count
+        s1 = s2 = s11 = 0.0
+        for u, v in g.edges():
+            ku, kv = deg[u], deg[v]
+            s1 += ku + kv
+            s2 += ku * ku + kv * kv
+            s11 += 2.0 * ku * kv
+        mean = s1 / m
+        return (s11 / m - mean * mean) / (s2 / m - mean * mean)
+
+    d = DegreeDistribution({1: 0.4, 2: 0.3, 3: 0.2, 12: 0.1})
+    graphs = [Graph.from_edges(4, [(0, 0), (0, 1), (0, 1), (1, 2), (2, 3), (3, 3), (3, 3)])]
+    graphs += [configuration_model(degree_sequence_from_distribution(d, n), random.Random(s))
+               for n in (50, 1000) for s in range(3)]
+    for g in graphs:
+        assert assortativity(g) == per_edge(g)
+    edges = [list(g.edges()) for g in graphs]
+    assert sum(any(u == v for u, v in es) for es in edges) > 1
+    assert sum(len(set(es)) < len(es) for es in edges) > 1

@@ -13,6 +13,7 @@ from crawlbias import (FIFO, LIFO, DegreeDistribution, Graph, QueueDiscipline, S
                        forest_fire, largest_component_nodes, mhrw, random_walk, randomized_fifo,
                        snowball, stub_level_traversal, trace_from_csv, trace_to_csv,
                        weighted_without_replacement)
+from crawlbias.samplers import _randbelow
 
 PATH3 = Graph.from_edges(3, [(0, 1), (1, 2)])
 PATH4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
@@ -253,6 +254,24 @@ def test_random_walk_path_stationary():
 
 def test_random_walk_steps_one():
     assert random_walk(PATH3, 2, 1, random.Random(0)).nodes == [2]
+
+
+def test_randbelow_refuses_an_empty_range():
+    rng = random.Random(0)
+    for n in (0, -1):
+        with pytest.raises(ValueError):
+            _randbelow(rng.getrandbits, n)
+
+
+def test_walks_from_an_isolated_node_raise_before_any_draw():
+    g = Graph.from_edges(3, [(0, 1)])
+    for walk in (random_walk, mhrw):
+        rng = random.Random(0)
+        state = rng.getstate()
+        with pytest.raises(ValueError, match="isolated"):
+            walk(g, 2, 5, rng)
+        assert rng.getstate() == state
+        assert walk(g, 2, 1, rng).nodes == [2]
 
 
 def test_mhrw_acceptance_probabilities():
