@@ -14,9 +14,9 @@ import sys
 from contextlib import contextmanager
 
 from . import experiments
-from .estimators import ConvergenceError, bfs_correct, mhrw_correct, rw_correct
-from .graph import GraphFormatError, load_edge_list, stats_row
-from .samplers import weighted_without_replacement
+from .estimators import ConvergenceError, EstimationReport, bfs_correct, mhrw_correct, rw_correct
+from .graph import GraphFormatError, largest_component_nodes, load_edge_list, stats_row
+from .samplers import SampleTrace
 from .experiments import ConfigError, GraphSource, trace_from_csv, trace_to_csv
 
 
@@ -81,11 +81,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, required=True,
                    help="nodes to collect (steps, for walks)")
     p.add_argument("--seed-node", type=int, default=None,
-                   help="start node, by its id in the edge list (default: degree-weighted draw)")
-    p.add_argument("--ff-p", type=float, default=None,
-                   help="spread probability, ff only (default 0.5)")
-    p.add_argument("--sbs-n", type=int, default=None,
-                   help="referrals per node, sbs only (default 2)")
+                   help="start node, by its id in the edge list "
+                        "(default: a uniform draw from the largest component)")
+    for name, flag in _PARAM_FLAGS.items():
+        param = experiments.TECHNIQUES[name].param
+        p.add_argument(flag, dest=name, metavar=param.short.upper(), type=type(param.default),
+                       help=f"{param.what}; {name} only (default {param.default})")
     p.add_argument("--raw", action="store_true",
                    help="keep self loops, duplicate edges, and small components; "
                         "--edgelist only")
@@ -102,7 +103,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--f", type=float, default=None,
                    help="fraction of the graph covered, --method bfs only "
                         "(default: the trace's f)")
-    p.add_argument("--method", choices=["bfs", "rw", "mhrw"], default="bfs")
+    p.add_argument("--method", choices=list(_METHODS), default=None,
+                   help="default: the one for the trace's technique, else bfs")
     p.set_defaults(func=cmd_correct)
 
     p = sub.add_parser("compare", parents=[configured],
@@ -112,6 +114,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     return parser
 
+
+#: sample's flag for each technique parameter, --NAME-SHORT: --ff-p, --sbs-n
+_PARAM_FLAGS = {name: f"--{name}-{tech.param.short}"
+               for name, tech in experiments.TECHNIQUES.items() if tech.param is not None}
 
 PK_HELP = ("degree distribution: 'regular:K', 'bimodal:K1:K2:W1', "
            "'powerlaw:GAMMA:KMIN:KMAX', or a JSON object of fractions")
@@ -157,8 +163,8 @@ def _check_flags(*rules: tuple[str, bool, str, str]) -> None:
 def cmd_sample(args: argparse.Namespace) -> int:
     technique = f"--technique {args.technique}"
     source = "--pk" if args.edgelist is None else "--edgelist"
-    _check_flags(("--ff-p", args.ff_p is not None, "--technique ff", technique),
-                 ("--sbs-n", args.sbs_n is not None, "--technique sbs", technique),
+    _check_flags(*((flag, getattr(args, name) is not None, f"--technique {name}", technique)
+                   for name, flag in _PARAM_FLAGS.items()),
                  ("--nodes", args.nodes is not None, "--pk", source),
                  ("--raw", args.raw, "--edgelist", source))
     rng = random.Random(args.rng_seed)
@@ -166,19 +172,17 @@ def cmd_sample(args: argparse.Namespace) -> int:
         g = load_edge_list(args.edgelist, args.raw)
     else:
         g = GraphSource("generate", pk=args.pk, nodes=args.nodes or 0).build(rng)
-    tech = experiments.TechniqueSpec(
-        args.technique,  # only the technique's own flag is left set
-        p=0.5 if args.ff_p is None and args.technique == "ff" else args.ff_p,
-        names=2 if args.sbs_n is None and args.technique == "sbs" else args.sbs_n)
+    param = experiments.TECHNIQUES[args.technique].param
+    value = getattr(args, args.technique, None)  # only the technique's own flag is left set
+    tech = experiments.TechniqueSpec(args.technique,
+                                     param.default if param and value is None else value)
     if args.seed_node is not None:
         try:
             component = [g.labels.index(args.seed_node)]
         except ValueError:
             raise ConfigError(f"unknown node {args.seed_node}: no such id in the graph") from None
     else:
-        component = weighted_without_replacement(g.degrees(), 1, rng)
-        if not component:
-            raise ConfigError("graph has no edges to start a crawl from")
+        component = sorted(largest_component_nodes(g))
     trace = experiments.run_technique(g, component, tech, args.budget, rng)
     with _open_out(args.out) as out:
         trace_to_csv(trace, out, labels=g.labels, rng_seed=args.rng_seed)
@@ -202,18 +206,25 @@ def cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
+def _bfs_method(trace: SampleTrace, f: float | None) -> EstimationReport:
+    f_real = f if f is not None else trace.coverage
+    if math.isnan(f_real):  # the trace carries no f= metadata
+        raise ConfigError("bfs correction needs --f or a trace with coverage metadata")
+    return bfs_correct(trace, f_real)
+
+
+#: correct's methods, and the one a trace of each technique takes by its law
+_METHODS = {"bfs": _bfs_method, "rw": lambda trace, _: rw_correct(trace),
+           "mhrw": lambda trace, _: mhrw_correct(trace)}
+_TECHNIQUE_METHODS = {name: {"walk": "rw", "uniform walk": "mhrw"}.get(tech.law, "bfs")
+                      for name, tech in experiments.TECHNIQUES.items()}
+
+
 def cmd_correct(args: argparse.Namespace) -> int:
-    _check_flags(("--f", args.f is not None, "--method bfs", f"--method {args.method}"))
     trace = trace_from_csv(args.trace)
-    if args.method == "bfs":
-        f_real = args.f if args.f is not None else trace.coverage
-        if math.isnan(f_real):  # the trace carries no f= metadata
-            raise ConfigError("bfs correction needs --f or a trace with coverage metadata")
-        report = bfs_correct(trace, f_real)
-    elif args.method == "rw":
-        report = rw_correct(trace)
-    else:
-        report = mhrw_correct(trace)
+    method = args.method or _TECHNIQUE_METHODS.get(trace.technique, "bfs")
+    _check_flags(("--f", args.f is not None, "--method bfs", f"--method {method}"))
+    report = _METHODS[method](trace, args.f)
     sampled = sum(trace.degrees) / len(trace.degrees)
     with _open_out(args.out) as out:
         cols = ["method", "sampled_mean", "corrected_mean", "iterations", "t_value", "residual"]

@@ -7,6 +7,7 @@ import hashlib
 import json
 import random
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import IO, Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from . import analytic
@@ -14,8 +15,8 @@ from .estimators import ConvergenceError, bfs_correct, rmse_compare, rw_correct
 from .generate import configuration_model, degree_sequence_from_distribution, rewire_to_assortativity
 from .graph import (DegreeDistribution, Graph, assortativity, degree_distribution,
                     largest_component_nodes, load_edge_list)
-from .samplers import (SampleTrace, _check_start, bfs, dfs, forest_fire, mhrw, random_walk,
-                       snowball, weighted_without_replacement)
+from .samplers import (SampleTrace, _check_start, _make_trace, bfs, dfs, forest_fire, mhrw,
+                       random_walk, snowball, weighted_without_replacement)
 
 
 class ConfigError(ValueError):
@@ -66,51 +67,93 @@ def truncated_power_law(gamma: float, k_min: int, k_max: int) -> DegreeDistribut
     return DegreeDistribution(weights, normalize=True)
 
 
-#: Every technique run_technique runs, by name.
-TECHNIQUES = ("bfs", "dfs", "ff", "sbs", "rw", "mhrw", "wwor", "stub")
+class _Param(NamedTuple):
+    """A technique's one parameter."""
+
+    key: str                         # its key in a JSON technique entry
+    short: str                       # its name in the tag and in sample's flag --NAME-SHORT
+    what: str                        # what it must be, for error messages and --help
+    ok: Callable[[object], bool]     # its type and range check
+    default: float | int             # sample's value without the flag; its type is the flag's
+
+
+class _Technique(NamedTuple):
+    """run(g, start, budget, param, rng) makes one trace. law, one of traversal, walk,
+    uniform walk and draw, sets a bias row's reference and correct's default method."""
+
+    run: Callable[[Graph, int, int, object, random.Random], SampleTrace]
+    param: _Param | None
+    law: str
+
+
+def _draw(technique: str, start_first: bool, g: Graph, start: int, budget: int,
+          _param: None, rng: random.Random) -> SampleTrace:
+    """wwor and stub race the degrees instead of crawling: wwor's seed_node is its first
+    draw; stub puts the start first, then the race order, as stub_level_traversal does."""
+    _check_start(g, start, budget)
+    nodes = weighted_without_replacement(g.degrees(), min(budget, g.node_count), rng)
+    if start_first:
+        nodes = [start, *(v for v in nodes if v != start)][:budget]
+    if not nodes:
+        raise ValueError("graph has no edges to draw from")
+    return _make_trace(technique, g, nodes[0], nodes, False)
+
+
+#: Every technique run_technique runs, by name: its runner, its parameter and its law.
+TECHNIQUES = {
+    "bfs": _Technique(lambda g, v, b, _, rng: bfs(g, v, b), None, "traversal"),
+    "dfs": _Technique(lambda g, v, b, _, rng: dfs(g, v, b), None, "traversal"),
+    "ff": _Technique(forest_fire, _Param("p", "p", "spread probability p, a number in (0, 1]",
+                                         lambda p: isinstance(p, (int, float)) and 0 < p <= 1,
+                                         0.5), "traversal"),
+    "sbs": _Technique(snowball, _Param("names", "n", "referral count names, an integer >= 1",
+                                       lambda n: isinstance(n, int) and n >= 1, 2), "traversal"),
+    "rw": _Technique(lambda g, v, b, _, rng: random_walk(g, v, b, rng), None, "walk"),
+    "mhrw": _Technique(lambda g, v, b, _, rng: mhrw(g, v, b, rng), None, "uniform walk"),
+    "wwor": _Technique(partial(_draw, "wwor", False), None, "draw"),
+    "stub": _Technique(partial(_draw, "stub", True), None, "draw"),
+}
+
+
+def _entry(table: Mapping, name: object, what: str):
+    """table[name], the record of a technique or a mode, or a ConfigError."""
+    try:
+        return table[name]
+    except (KeyError, TypeError):    # TypeError: a JSON name that is not hashable
+        raise ConfigError(f"unknown {what} {name!r}") from None
 
 
 @dataclass(frozen=True)
 class TechniqueSpec:
-    """One sampling technique plus its parameters."""
+    """One sampling technique plus its parameter, if it takes one."""
 
     name: str
-    p: float | None = None       # forest fire spread probability
-    names: int | None = None     # snowball referrals per node
+    param: float | int | None = None
 
     def __post_init__(self) -> None:
-        if self.name not in TECHNIQUES:
-            raise ConfigError(f"unknown technique {self.name!r}")
-        if self.name == "ff":
-            if (isinstance(self.p, bool) or not isinstance(self.p, (int, float))
-                    or not 0.0 < self.p <= 1.0):
-                raise ConfigError(f"technique ff needs its spread probability p, "
-                                  f"a number in (0, 1], got {self.p!r}")
-        elif self.p is not None:
-            raise ConfigError(f"technique {self.name} takes no spread probability p")
-        if self.name == "sbs":
-            if (isinstance(self.names, bool) or not isinstance(self.names, int)
-                    or self.names < 1):
-                raise ConfigError(f"technique sbs needs its referral count names, "
-                                  f"an integer >= 1, got {self.names!r}")
-        elif self.names is not None:
-            raise ConfigError(f"technique {self.name} takes no referral count names")
+        spec = _entry(TECHNIQUES, self.name, "technique").param
+        if spec is None and self.param is not None:
+            raise ConfigError(f"technique {self.name} takes no parameter, got {self.param!r}")
+        if spec is not None and (isinstance(self.param, bool) or not spec.ok(self.param)):
+            raise ConfigError(f"technique {self.name} needs its {spec.what}, got {self.param!r}")
 
     @property
     def tag(self) -> str:
-        if self.name == "ff":
-            return f"ff:p={self.p:g}"
-        if self.name == "sbs":
-            return f"sbs:n={self.names}"
-        return self.name
+        spec = TECHNIQUES[self.name].param
+        if spec is None:
+            return self.name
+        value = f"{self.param:g}" if isinstance(spec.default, float) else self.param
+        return f"{self.name}:{spec.short}={value}"
 
     @classmethod
     def from_json(cls, obj: object) -> "TechniqueSpec":
         if isinstance(obj, str):
             return cls(obj)
         if isinstance(obj, Mapping):
-            _check_keys(obj, ("name", "p", "names"), "technique entry")
-            return cls(obj.get("name", ""), p=obj.get("p"), names=obj.get("names"))
+            name = obj.get("name", "")
+            key = getattr(_entry(TECHNIQUES, name, "technique").param, "key", None)
+            _check_keys(obj, ("name", key) if key else ("name",), f"technique {name} entry")
+            return cls(name, obj.get(key))
         raise ConfigError(f"bad technique entry {obj!r}")
 
 
@@ -167,7 +210,7 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         """Every value rule is checked here, so a runner gets a config it can run.
         Which keys a mode reads is checked in from_json, where the JSON arrives."""
-        reads = _mode(self.mode).reads
+        reads = _entry(MODES, self.mode, "mode").reads
         if self.replicas < 1:
             raise ConfigError("replicas must be >= 1")
         if not self.f_grid and "f_grid" in reads:
@@ -231,7 +274,7 @@ class ExperimentConfig:
     def metadata_line(self) -> str:
         """The keys the mode reads, with the values that ran. workers is left
         out: no output depends on it, so serial and pool runs write the same line."""
-        reads = _mode(self.mode).reads
+        reads = _entry(MODES, self.mode, "mode").reads
         gen = {"pk": self.source.pk, "nodes": self.source.nodes}
         if _REWIRED in reads:
             gen["assortativity"] = self.source.target_assortativity
@@ -251,17 +294,10 @@ class ExperimentConfig:
                                       sort_keys=True)
 
 
-def _mode(name: str) -> "Mode":
-    try:
-        return MODES[name]
-    except KeyError:
-        raise ConfigError(f"unknown mode {name!r}") from None
-
-
 def _check_reads(doc: Mapping, mode: str) -> None:
     """A key the mode does not read, a typo among them, fails naming the mode,
     instead of running with the key ignored."""
-    reads = _mode(mode).reads
+    reads = _entry(MODES, mode, "mode").reads
     unread = set(doc) - set(reads)
     graph = doc.get("graph")
     gen = graph.get("generate") if isinstance(graph, Mapping) else None
@@ -318,35 +354,10 @@ def load_config(path: str) -> ExperimentConfig:
 
 def run_technique(g: Graph, component: Sequence[int], tech: TechniqueSpec,
                   budget: int, rng: random.Random) -> SampleTrace:
-    """One sampling run; the start node is uniform over the largest component.
-
-    wwor and stub race the graph's degrees instead of crawling it. wwor still
-    consumes the start-node draw (seeded outputs depend on it) but does not use
-    it, so its seed_node is its first draw; stub puts the start node first and
-    keeps the others in race order, which is stub_level_traversal's order.
-    """
-    seed = component[rng.randrange(len(component))]
-    if tech.name == "bfs":
-        return bfs(g, seed, budget)
-    if tech.name == "dfs":
-        return dfs(g, seed, budget)
-    if tech.name == "ff":
-        return forest_fire(g, seed, budget, tech.p, rng)
-    if tech.name == "sbs":
-        return snowball(g, seed, budget, tech.names, rng)
-    if tech.name == "rw":
-        return random_walk(g, seed, budget, rng)
-    if tech.name == "mhrw":
-        return mhrw(g, seed, budget, rng)
-    _check_start(g, seed, budget)
-    degs = g.degrees()
-    nodes = weighted_without_replacement(degs, min(budget, g.node_count), rng)
-    if tech.name == "stub":
-        nodes = [seed, *(v for v in nodes if v != seed)][:budget]
-    if not nodes:
-        raise ValueError("graph has no edges to draw from")
-    return SampleTrace(tech.name, nodes[0], nodes, [degs[v] for v in nodes], False,
-                       len(nodes) / g.node_count)
+    """One sampling run. The start is drawn uniformly from component first for every
+    technique, wwor too, which does not use it: seeded outputs depend on that draw."""
+    start = component[rng.randrange(len(component))]
+    return TECHNIQUES[tech.name].run(g, start, budget, tech.param, rng)
 
 
 # --- one replica pipeline ------------------------------------------------------
@@ -419,59 +430,49 @@ def _map_replicas(fn: Callable, cfg: ExperimentConfig, shared: Setup | None) -> 
 
 
 def _bias_replica(cfg: ExperimentConfig, replica: int,
-                  shared: Setup | None) -> tuple[dict[str, list[float]], dict[str, int]]:
+                  shared: Setup | None) -> dict[str, list[tuple[float, bool]]]:
+    """Per technique tag and f: (mean sampled degree, whether the trace fell short)."""
     g, component = _replica_setup(cfg, replica, shared)
     n = g.node_count
     budgets = {f: max(1, round(f * n)) for f in cfg.f_grid}
-    max_budget = max(budgets.values())
-    means: dict[str, list[float]] = {}
-    short: dict[str, int] = {}
+    cells: dict[str, list[tuple[float, bool]]] = {}
     for tech in cfg.techniques:
         rng = random.Random(derive_seed(cfg.master_seed, replica, tech.tag))
-        trace = run_technique(g, component, tech, max_budget, rng)
+        degrees = run_technique(g, component, tech, max(budgets.values()), rng).degrees
         row = []
-        shortfall = 0
         for f in cfg.f_grid:
-            m = budgets[f]
-            if m > len(trace.degrees):
-                shortfall += 1
-                m = len(trace.degrees)
-            row.append(sum(trace.degrees[:m]) / m)
-        means[tech.tag] = row
-        short[tech.tag] = shortfall
-    return means, short
+            k = min(budgets[f], len(degrees))
+            row.append((sum(degrees[:k]) / k, k < budgets[f]))
+        cells[tech.tag] = row
+    return cells
 
 
 def _bias_rows(cfg: ExperimentConfig, shared: Setup | None,
                law: DegreeDistribution) -> list[dict[str, object]]:
-    """Mean sampled degree per (technique, f) over the replicas, with the
-    reference curve, the stationary walk level and the true mean of law."""
+    """Mean sampled degree per (technique, f) over the replicas; the reference of its law
+    (a walk: rw_mean, a uniform walk: true_mean, otherwise the analytic curve), rw_mean
+    and true_mean of law; and how many replicas' traces fell short at that f."""
     results = _map_replicas(_bias_replica, cfg, shared)
     rw_mean = analytic.rw_expected(law)[1]
     true_mean = law.mean()
+    references = {"walk": rw_mean, "uniform walk": true_mean}
     rows = []
     for tech in cfg.techniques:
-        per_f = list(zip(*(means[tech.tag] for means, _ in results)))
-        flagged = sum(short[tech.tag] > 0 for _, short in results)
-        for f, vals in zip(cfg.f_grid, per_f):
+        reference = references.get(TECHNIQUES[tech.name].law)
+        for f, cells in zip(cfg.f_grid, zip(*(result[tech.tag] for result in results))):
+            vals = [v for v, _ in cells]
             mean = sum(vals) / len(vals)
             var = sum((v - mean) ** 2 for v in vals) / len(vals)
-            if tech.name == "rw":
-                analytic_mean = rw_mean       # stationary visit law is degree-weighted
-            elif tech.name == "mhrw":
-                analytic_mean = true_mean     # corrected walk targets the uniform law
-            else:
-                analytic_mean = analytic.mean_q_of_f(law, f)
             rows.append({
                 "technique": tech.tag,
                 "f": f,
                 "replicas": len(vals),
                 "empirical_mean": mean,
                 "empirical_std": var ** 0.5,
-                "analytic_mean": analytic_mean,
+                "analytic_mean": analytic.mean_q_of_f(law, f) if reference is None else reference,
                 "rw_mean": rw_mean,
                 "true_mean": true_mean,
-                "flagged": flagged,
+                "flagged": sum(short for _, short in cells),
             })
     return rows
 

@@ -11,9 +11,10 @@ from dataclasses import replace
 import pytest
 
 from crawlbias import (FIFO, DegreeDistribution, assign_stub_indices, cli, configuration_model,
-                       degree_sequence_from_distribution, exact_step_distribution, mean_q_of_f,
+                       degree_distribution, degree_sequence_from_distribution,
+                       exact_step_distribution, load_edge_list, mean_q_of_f,
                        stub_level_traversal, trace_from_csv)
-from crawlbias.experiments import (BIAS_COLUMNS, CORRECTION_COLUMNS, SWEEP_COLUMNS,
+from crawlbias.experiments import (BIAS_COLUMNS, CORRECTION_COLUMNS, SWEEP_COLUMNS, TECHNIQUES,
                                    ConfigError, ExperimentConfig, GraphSource, TechniqueSpec,
                                    derive_seed, parse_pk_spec, run_assortativity_sweep,
                                    run_bias_curves, run_compare, run_correction_eval,
@@ -57,15 +58,20 @@ def test_truncated_power_law_normalized():
 
 def test_technique_spec_tags_and_validation():
     assert TechniqueSpec("bfs").tag == "bfs"
-    assert TechniqueSpec("ff", p=0.7).tag == "ff:p=0.7"
-    assert TechniqueSpec("sbs", names=3).tag == "sbs:n=3"
+    assert TechniqueSpec("ff", 0.7).tag == "ff:p=0.7"
+    assert TechniqueSpec("sbs", 3).tag == "sbs:n=3"
+    assert TechniqueSpec("sbs", 1000000).tag == "sbs:n=1000000"   # an integer, never 1e+06
     with pytest.raises(ConfigError):
         TechniqueSpec("ff")                      # missing p
     with pytest.raises(ConfigError):
         TechniqueSpec("sbs")                     # missing names
     with pytest.raises(ConfigError):
+        TechniqueSpec("bfs", 0.3)                # bfs takes no parameter
+    with pytest.raises(ConfigError):
         TechniqueSpec("teleport")
-    assert TechniqueSpec("ff", p=1).tag == "ff:p=1"
+    assert TechniqueSpec("ff", 1).tag == "ff:p=1"
+    assert TechniqueSpec.from_json({"name": "ff", "p": 0.7}) == TechniqueSpec("ff", 0.7)
+    assert TechniqueSpec.from_json({"name": "sbs", "names": 1000000}).tag == "sbs:n=1000000"
     # a parameter must have its type and range, and only its own technique takes it
     for name, kwargs, field_name in (("sbs", {"names": 1.5}, "names"),
                                      ("sbs", {"names": True}, "names"),
@@ -80,7 +86,7 @@ def test_technique_spec_tags_and_validation():
                                      ("ff", {"p": 0.5, "names": 2}, "names"),
                                      ("sbs", {"names": 2, "p": 0.5}, "p")):
         with pytest.raises(ConfigError, match=rf"\b{field_name}\b"):
-            TechniqueSpec(name, **kwargs)
+            TechniqueSpec.from_json({"name": name, **kwargs})
 
 
 def test_config_from_json_and_validation():
@@ -227,6 +233,15 @@ def test_bias_references_follow_realized_law():
     for row in run_bias_curves(cfg):
         assert row["analytic_mean"] == mean_q_of_f(realized, row["f"])
         assert row["true_mean"] == realized.mean()
+
+
+def test_bias_flagged_counts_short_replicas_per_f():
+    # about half of these graphs is their largest component, where crawls start:
+    # every bfs trace reaches 5% coverage and none reaches 90%
+    cfg = _bias_cfg(source=GraphSource("generate", pk="powerlaw:2.5:1:100", nodes=2000),
+                    techniques=[TechniqueSpec("bfs")], f_grid=[0.05, 0.9], replicas=3,
+                    master_seed=3)
+    assert [row["flagged"] for row in run_bias_curves(cfg)] == [0, 3]
 
 
 def test_run_correction_eval_rows():
@@ -725,3 +740,43 @@ def test_cli_trace_metadata_carries_coverage(tmp_path):
     row = next(csv.DictReader(open(out)))
     assert float(row["corrected_mean"]) == pytest.approx(4.0, rel=1e-6)
     assert not math.isnan(float(row["t_value"]))
+
+
+def test_every_technique_takes_its_parameter_reference_and_method_from_the_table(tmp_path):
+    # what each law means: a bias row's reference, and correct's default method
+    references = {"walk": "rw_mean", "uniform walk": "true_mean"}
+    methods = {"traversal": "bfs", "draw": "bfs", "walk": "rw", "uniform walk": "mhrw"}
+    edge_file = tmp_path / "g.txt"
+    assert _run_cli(["generate", "--pk", "powerlaw:2.5:2:30", "--nodes", "300",
+                     "--rng-seed", "2", "--out", str(edge_file)]) == 0
+    cfg = _bias_cfg(source=GraphSource("file", path=str(edge_file)), f_grid=[0.2], replicas=1,
+                    techniques=[TechniqueSpec(name, tech.param and tech.param.default)
+                                for name, tech in TECHNIQUES.items()])
+    rows = {row["technique"].split(":")[0]: row for row in run_bias_curves(cfg)}
+    curve = mean_q_of_f(degree_distribution(load_edge_list(str(edge_file))), 0.2)
+    for name, tech in TECHNIQUES.items():
+        row = rows[name]
+        assert row["analytic_mean"] == (row[references[tech.law]] if tech.law in references
+                                        else curve)
+        trace = tmp_path / f"{name}.csv"
+        sample = ["sample", "--edgelist", str(edge_file), "--technique", name,
+                  "--budget", "40", "--rng-seed", "1"]
+        assert _run_cli([*sample, "--out", str(trace)]) == 0
+        assert f"technique={name}" in trace.read_text().split("\n", 1)[0].split()
+        if tech.param is not None:   # sample's default is the table's
+            given = tmp_path / f"{name}_given.csv"
+            assert _run_cli([*sample, f"--{name}-{tech.param.short}", str(tech.param.default),
+                             "--out", str(given)]) == 0
+            assert given.read_bytes() == trace.read_bytes()
+        outs = []
+        for extra in ([], ["--method", methods[tech.law]]):
+            outs.append(tmp_path / f"{name}_corrected{len(extra)}.csv")
+            assert _run_cli(["correct", "--trace", str(trace), "--out", str(outs[-1]),
+                             *extra]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+    # a trace of an unknown technique is corrected as a traversal; --f stays bfs's only
+    unknown, out = tmp_path / "unknown.csv", tmp_path / "unknown_corrected.csv"
+    unknown.write_text((tmp_path / "bfs.csv").read_text().replace("technique=bfs", "technique=x"))
+    assert _run_cli(["correct", "--trace", str(unknown), "--out", str(out)]) == 0
+    assert out.read_bytes() == (tmp_path / "bfs_corrected0.csv").read_bytes()
+    assert _run_cli(["correct", "--trace", str(tmp_path / "rw.csv"), "--f", "0.2"]) == 2
