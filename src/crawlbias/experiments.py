@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import os
 import random
 from dataclasses import dataclass, field, replace
 from functools import partial
@@ -416,35 +417,40 @@ def _run_in_worker(job: tuple[ExperimentConfig, int]) -> object:
 def _map_replicas(fn: Callable, cfg: ExperimentConfig, shared: Setup | None) -> list:
     """[fn(cfg, replica, shared) for every replica], in replica order.
 
-    With workers > 1 the replicas run in one process pool. The shared set-up
-    reaches each worker once, through the pool initializer, so a job carries
-    only (cfg, replica); the result does not depend on the worker count.
+    They run in one pool of min(workers, replicas, CPUs) processes, as a pool starts
+    all of its workers at once, or in this process if that is 1. The shared set-up
+    reaches each worker once, through the pool initializer, so a job carries only
+    (cfg, replica); the result does not depend on the worker count.
     """
-    if cfg.workers == 1:
+    workers = min(cfg.workers, cfg.replicas, os.cpu_count() or 1)
+    if workers == 1:
         return [fn(cfg, r, shared) for r in range(cfg.replicas)]
     from concurrent.futures import ProcessPoolExecutor  # only pool runs pay for the import
 
-    with ProcessPoolExecutor(max_workers=cfg.workers, initializer=_init_worker,
+    with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
                              initargs=(fn, shared)) as pool:
         return list(pool.map(_run_in_worker, [(cfg, r) for r in range(cfg.replicas)]))
 
 
-def _bias_replica(cfg: ExperimentConfig, replica: int,
-                  shared: Setup | None) -> dict[str, list[tuple[float, bool]]]:
-    """Per technique tag and f: (mean sampled degree, whether the trace fell short)."""
+def _replica_cells(cell: Callable[[SampleTrace, int, int], object], cfg: ExperimentConfig,
+                   replica: int, shared: Setup | None) -> dict[str, list]:
+    """Per technique tag, cell(trace, n, budget) at each f's budget. trace is the
+    technique's one run to the largest budget: its sample at f is the trace's prefix."""
     g, component = _replica_setup(cfg, replica, shared)
     n = g.node_count
-    budgets = {f: max(1, round(f * n)) for f in cfg.f_grid}
-    cells: dict[str, list[tuple[float, bool]]] = {}
+    budgets = [max(1, round(f * n)) for f in cfg.f_grid]
+    cells = {}
     for tech in cfg.techniques:
         rng = random.Random(derive_seed(cfg.master_seed, replica, tech.tag))
-        degrees = run_technique(g, component, tech, max(budgets.values()), rng).degrees
-        row = []
-        for f in cfg.f_grid:
-            k = min(budgets[f], len(degrees))
-            row.append((sum(degrees[:k]) / k, k < budgets[f]))
-        cells[tech.tag] = row
+        trace = run_technique(g, component, tech, max(budgets), rng)
+        cells[tech.tag] = [cell(trace, n, budget) for budget in budgets]
     return cells
+
+
+def _mean_cell(trace: SampleTrace, n: int, budget: int) -> tuple[float, bool]:
+    """(mean sampled degree of the prefix, whether the trace fell short of budget)."""
+    k = min(budget, len(trace.degrees))
+    return sum(trace.degrees[:k]) / k, k < budget
 
 
 def _bias_rows(cfg: ExperimentConfig, shared: Setup | None,
@@ -452,7 +458,7 @@ def _bias_rows(cfg: ExperimentConfig, shared: Setup | None,
     """Mean sampled degree per (technique, f) over the replicas; the reference of its law
     (a walk: rw_mean, a uniform walk: true_mean, otherwise the analytic curve), rw_mean
     and true_mean of law; and how many replicas' traces fell short at that f."""
-    results = _map_replicas(_bias_replica, cfg, shared)
+    results = _map_replicas(partial(_replica_cells, _mean_cell), cfg, shared)
     rw_mean = analytic.rw_expected(law)[1]
     true_mean = law.mean()
     references = {"walk": rw_mean, "uniform walk": true_mean}
@@ -484,56 +490,39 @@ def run_bias_curves(cfg: ExperimentConfig) -> list[dict[str, object]]:
     return _bias_rows(cfg, shared, _reference_law(cfg, shared))
 
 
-def _correction_replica(cfg: ExperimentConfig, replica: int,
-                        shared: Setup | None) -> list[dict[str, object]]:
-    g, component = _replica_setup(cfg, replica, shared)
-    n = g.node_count
-    rows = []
-    for f in cfg.f_grid:
-        rng = random.Random(derive_seed(cfg.master_seed, replica, f"correction:{f:g}"))
-        trace = run_technique(g, component, TechniqueSpec("bfs"), max(1, round(f * n)), rng)
-        f_real = len(trace.nodes) / n
-        sampled_mean = sum(trace.degrees) / len(trace.degrees)
-        row = {
-            "f": f,
-            "replica": replica,
-            "sampled_mean": sampled_mean,
-            "rw_corrected": rw_correct(trace).mean,
-            "bfs_corrected": "",
-            "converged": 1,
-            "iterations": 0,
-            "residual": "",
-        }
-        try:
-            rep = bfs_correct(trace, f_real)
-            row["bfs_corrected"] = rep.mean
-            row["iterations"] = rep.iterations
-            row["residual"] = rep.residual
-        except ConvergenceError as exc:            # recorded, not fatal
-            row["converged"] = 0
-            row["iterations"] = exc.iterations
-            row["residual"] = exc.residual
-        rows.append(row)
-    return rows
+def _correction_cell(trace: SampleTrace, n: int, budget: int) -> dict[str, object]:
+    """The sampled and corrected mean degree of the prefix of k = min(budget, len(trace))
+    nodes: rw_correct, and bfs_correct at its coverage f_real = k / n."""
+    k = min(budget, len(trace.nodes))
+    prefix = replace(trace, nodes=trace.nodes[:k], degrees=trace.degrees[:k], coverage=k / n)
+    try:
+        rep = bfs_correct(prefix, k / n)
+        corrected, converged, iterations, residual = rep.mean, 1, rep.iterations, rep.residual
+    except ConvergenceError as exc:            # recorded, not fatal
+        corrected, converged, iterations, residual = "", 0, exc.iterations, exc.residual
+    return {"sampled_mean": sum(prefix.degrees) / k, "rw_corrected": rw_correct(prefix).mean,
+            "bfs_corrected": corrected, "converged": converged, "iterations": iterations,
+            "residual": residual}
 
 
 def run_correction_eval(cfg: ExperimentConfig) -> list[dict[str, object]]:
-    """Sampled vs corrected mean degree of traversal samples at each coverage.
+    """Sampled vs corrected mean degree of bfs samples at each coverage.
 
-    Emits one row per (f, replica) plus an averaged row per f (replica='avg');
-    the true mean degree rides along in every row.
+    Replica r corrects the prefixes of one bfs trace, the one bias mode runs for
+    bfs at the same seed. Emits one row per (f, replica) plus an averaged row per
+    f (replica='avg'); the true mean degree rides along in every row.
     """
     shared = _shared_setup(cfg)
     true_mean = _reference_law(cfg, shared).mean()
-    results = _map_replicas(_correction_replica, cfg, shared)
+    results = [cells["bfs"] for cells in _map_replicas(
+        partial(_replica_cells, _correction_cell),
+        replace(cfg, techniques=[TechniqueSpec("bfs")]), shared)]
 
     rows: list[dict[str, object]] = []
-    for reps in results:
-        for row in reps:
-            row["true_mean"] = true_mean
-            rows.append(row)
-    for i, f in enumerate(cfg.f_grid):
-        group = [reps[i] for reps in results]
+    for replica, reps in enumerate(results):
+        for f, row in zip(cfg.f_grid, reps):
+            rows.append({"f": f, "replica": replica, **row, "true_mean": true_mean})
+    for f, group in zip(cfg.f_grid, zip(*results)):
         ok = [r for r in group if r["converged"]]
         rows.append({
             "f": f,

@@ -10,9 +10,10 @@ from dataclasses import replace
 
 import pytest
 
-from crawlbias import (FIFO, DegreeDistribution, assign_stub_indices, cli, configuration_model,
-                       degree_distribution, degree_sequence_from_distribution,
-                       exact_step_distribution, load_edge_list, mean_q_of_f,
+from crawlbias import (FIFO, DegreeDistribution, assign_stub_indices, bfs_correct, cli,
+                       configuration_model, degree_distribution,
+                       degree_sequence_from_distribution, exact_step_distribution,
+                       largest_component_nodes, load_edge_list, mean_q_of_f,
                        stub_level_traversal, trace_from_csv)
 from crawlbias.experiments import (BIAS_COLUMNS, CORRECTION_COLUMNS, SWEEP_COLUMNS, TECHNIQUES,
                                    ConfigError, ExperimentConfig, GraphSource, TechniqueSpec,
@@ -265,6 +266,94 @@ def test_run_correction_eval_file_source_worker_invariant(tmp_path):
     serial = run_correction_eval(cfg)
     assert serial == run_correction_eval(replace(cfg, workers=2))
     assert len(serial) == 3 * 2 + 2
+
+
+def test_every_technique_run_is_a_prefix_of_a_longer_run():
+    # bias and correction mode read each f's sample as the prefix of one run to the
+    # largest budget. On this multigraph, with small components and many degree-1
+    # nodes, forest fire at p=0.3 and snowball at n=1 revive dead fires.
+    d = DegreeDistribution({1: 0.45, 2: 0.25, 3: 0.15, 6: 0.1, 12: 0.05})
+    g = configuration_model(degree_sequence_from_distribution(d, 300), random.Random(3))
+    start = min(largest_component_nodes(g))
+    defaults = [(name, None if t.param is None else t.param.default)
+                for name, t in TECHNIQUES.items()]
+    for name, param in defaults + [("ff", 0.3), ("sbs", 1)]:
+        run = TECHNIQUES[name].run
+        revivals = 0
+        for x in range(4):
+            full = run(g, start, 270, param, random.Random(x))
+            revivals += full.revivals
+            for budget in (1, 2, 17, 100, 269):
+                assert run(g, start, budget, param, random.Random(x)).nodes == \
+                    full.nodes[:budget], (name, param, budget, x)
+        if (name, param) in (("ff", 0.3), ("sbs", 1)):
+            assert revivals > 0
+
+
+def test_correction_mode_corrects_prefixes_of_bias_modes_bfs_trace(tmp_path):
+    edge_file = tmp_path / "g.txt"
+    assert _run_cli(["generate", "--pk", "bimodal:2:6:0.5", "--nodes", "300",
+                     "--rng-seed", "3", "--out", str(edge_file)]) == 0
+    # about half of each generated graph is its largest component, where crawls
+    # start: every bfs trace reaches 5% coverage and falls short at 90%
+    sparse = GraphSource("generate", pk="powerlaw:2.5:1:100", nodes=2000)
+    for source, f_grid in ((GraphSource("file", path=str(edge_file)), [0.2, 0.5, 0.7]),
+                           (sparse, [0.05, 0.9])):
+        bias = _bias_cfg(source=source, techniques=[TechniqueSpec("bfs")], f_grid=f_grid,
+                         replicas=3, master_seed=3)
+        corr = replace(bias, mode="correction", techniques=[])
+        avg = [row for row in run_correction_eval(corr) if row["replica"] == "avg"]
+        assert [row["sampled_mean"] for row in avg] == \
+            [row["empirical_mean"] for row in run_bias_curves(bias)]
+    # at f = 0.9 each replica corrects the whole short trace, at its own coverage
+    short = [row for row in run_correction_eval(corr)
+             if row["f"] == 0.9 and row["replica"] != "avg"]
+    assert len(short) == 3
+    for row in short:
+        g = sparse.build(random.Random(derive_seed(3, row["replica"], "graph")))
+        trace = run_technique(g, sorted(largest_component_nodes(g)), TechniqueSpec("bfs"),
+                              round(0.9 * g.node_count),
+                              random.Random(derive_seed(3, row["replica"], "bfs")))
+        assert len(trace) < round(0.9 * g.node_count)
+        assert row["bfs_corrected"] == bfs_correct(trace, len(trace) / g.node_count).mean
+
+
+def test_map_replicas_starts_no_more_workers_than_it_can_use(monkeypatch):
+    import concurrent.futures
+    import os
+
+    from crawlbias import experiments
+
+    started = []
+
+    class SerialPool:
+        """Records its max_workers and runs the jobs here, in order: no process starts."""
+
+        def __init__(self, max_workers, initializer, initargs):
+            started.append(max_workers)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(experiments, "_worker", None)
+    cfg = _bias_cfg(techniques=[TechniqueSpec("bfs")], f_grid=[0.3], replicas=3)
+    serial = run_bias_curves(cfg)
+    # (CPUs, workers, replicas) -> the pool's size, or none when one process is all it uses
+    for cpus, workers, replicas, pool in ((8, 100000, 3, [3]), (2, 100000, 3, [2]),
+                                          (8, 2, 3, [2]), (None, 8, 3, []), (8, 100000, 1, [])):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        started.clear()
+        rows = run_bias_curves(replace(cfg, workers=workers, replicas=replicas))
+        assert started == pool
+        assert rows == (serial if replicas == 3 else run_bias_curves(replace(cfg, replicas=1)))
 
 
 def test_run_compare_rows():
