@@ -8,13 +8,13 @@ import json
 import os
 import random
 from dataclasses import dataclass, field, replace
-from functools import partial
+from functools import cache, partial
 from typing import IO, Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from . import analytic
 from .estimators import ConvergenceError, bfs_correct, rmse_compare, rw_correct
 from .generate import configuration_model, degree_sequence_from_distribution, rewire_to_assortativity
-from .graph import (DegreeDistribution, Graph, assortativity, degree_distribution,
+from .graph import (DegreeDistribution, Graph, degree_distribution,
                     largest_component_nodes, load_edge_list)
 from .samplers import (SampleTrace, _check_start, _make_trace, bfs, dfs, forest_fire, mhrw,
                        random_walk, snowball, weighted_without_replacement)
@@ -158,6 +158,11 @@ class TechniqueSpec:
         raise ConfigError(f"bad technique entry {obj!r}")
 
 
+#: The tolerance of every rewiring here, build's and the sweep's: both use
+#: rewire_to_assortativity's default, read here only to name it in messages.
+_TOLERANCE = rewire_to_assortativity.__kwdefaults__["tolerance"]
+
+
 @dataclass(frozen=True)
 class GraphSource:
     kind: str                    # generate | file
@@ -179,18 +184,27 @@ class GraphSource:
         elif self.kind == "file":
             if not self.path:
                 raise ConfigError("file source needs a path")
+            if self.target_assortativity is not None:
+                raise ConfigError("a file source takes no assortativity target: "
+                                  "only a generated graph is rewired")
         else:
             raise ConfigError(f"unknown graph source {self.kind!r}")
 
     def build(self, rng: random.Random) -> Graph:
         """The file with the default cleanup, or a configuration-model graph on
-        the rounded degree sequence of pk, rewired to target_assortativity when set."""
+        the rounded degree sequence of pk, rewired to target_assortativity when set.
+        A rewiring that misses its target raises ConfigError, naming the r it reached."""
         if self.kind == "file":
             return load_edge_list(self.path)
         g = configuration_model(degree_sequence_from_distribution(self.law, self.nodes), rng)
-        if self.target_assortativity is not None:
-            g = rewire_to_assortativity(g, self.target_assortativity, rng).graph
-        return g
+        target = self.target_assortativity
+        if target is None:
+            return g
+        result = rewire_to_assortativity(g, target, rng)
+        if not result.reached:
+            raise ConfigError(f"rewiring toward assortativity {target:g} reached r = "
+                              f"{result.achieved_r:.4g}, outside the tolerance {_TOLERANCE:g}")
+        return result.graph
 
 
 @dataclass
@@ -206,7 +220,6 @@ class ExperimentConfig:
     mode: str = "bias"           # a key of MODES
     assortativity_targets: list[float] = field(default_factory=list)
     depth: int = 2
-    rewire_tolerance: float = 0.02
 
     def __post_init__(self) -> None:
         """Every value rule is checked here, so a runner gets a config it can run.
@@ -225,8 +238,6 @@ class ExperimentConfig:
         if any(not -1.0 <= r <= 1.0 for r in self.assortativity_targets):
             raise ConfigError(f"assortativity_targets must lie in [-1, 1], "
                               f"got {self.assortativity_targets!r}")
-        if not self.rewire_tolerance >= 0.0:
-            raise ConfigError(f"rewire_tolerance must be >= 0, got {self.rewire_tolerance!r}")
         if self.mode == "assortativity":
             if self.source.kind != "generate":
                 raise ConfigError("mode 'assortativity' needs a generated graph source")
@@ -268,8 +279,6 @@ class ExperimentConfig:
             assortativity_targets=_numbers("assortativity_targets",
                                            doc.get("assortativity_targets", [])),
             depth=_integer(doc, "depth", 2),
-            rewire_tolerance=float(_typed("rewire_tolerance", doc.get("rewire_tolerance", 0.02),
-                                          (int, float), "a number")),
         )
 
     def metadata_line(self) -> str:
@@ -288,7 +297,6 @@ class ExperimentConfig:
             "replicas": self.replicas,
             "seed": self.master_seed,
             "assortativity_targets": self.assortativity_targets,
-            "rewire_tolerance": self.rewire_tolerance,
             "depth": self.depth,
         }
         return "config " + json.dumps({k: v for k, v in echo.items() if k in reads},
@@ -459,6 +467,7 @@ def _bias_rows(cfg: ExperimentConfig, shared: Setup | None,
     (a walk: rw_mean, a uniform walk: true_mean, otherwise the analytic curve), rw_mean
     and true_mean of law; and how many replicas' traces fell short at that f."""
     results = _map_replicas(partial(_replica_cells, _mean_cell), cfg, shared)
+    mean_q = cache(partial(analytic.mean_q_of_f, law))     # one solve per f, not per row
     rw_mean = analytic.rw_expected(law)[1]
     true_mean = law.mean()
     references = {"walk": rw_mean, "uniform walk": true_mean}
@@ -475,7 +484,7 @@ def _bias_rows(cfg: ExperimentConfig, shared: Setup | None,
                 "replicas": len(vals),
                 "empirical_mean": mean,
                 "empirical_std": var ** 0.5,
-                "analytic_mean": analytic.mean_q_of_f(law, f) if reference is None else reference,
+                "analytic_mean": mean_q(f) if reference is None else reference,
                 "rw_mean": rw_mean,
                 "true_mean": true_mean,
                 "flagged": sum(short for _, short in cells),
@@ -563,10 +572,11 @@ def run_analytic(cfg: ExperimentConfig) -> list[dict[str, object]]:
 def run_assortativity_sweep(cfg: ExperimentConfig) -> list[dict[str, object]]:
     """Bias curves after rewiring one generated graph to each target r.
 
-    Target r = 0 means the unrewired graph. A target the rewiring cannot
-    reach within tolerance is reported with rewire_ok=0 and its curve rows
-    are skipped. Rewiring keeps every degree, so one reference law serves
-    all targets.
+    Every target, 0 included, goes through rewire_to_assortativity at its
+    default tolerance; a base graph already within tolerance of a target is
+    used as it is. A target the rewiring misses is reported in one row with
+    rewire_ok=0, and its curve rows are skipped. Rewiring keeps every degree,
+    so one reference law serves all targets.
     """
     # the sweep rewires to its own targets only, so a source's target is not applied
     unrewired = replace(cfg.source, target_assortativity=None)
@@ -574,20 +584,16 @@ def run_assortativity_sweep(cfg: ExperimentConfig) -> list[dict[str, object]]:
     law = _reference_law(cfg, None)
     rows: list[dict[str, object]] = []
     for target in cfg.assortativity_targets:
-        if target == 0.0:
-            r = assortativity(base)
-            g, achieved, ok = base, float("nan") if r is None else r, 1
-        else:
-            rng = random.Random(derive_seed(cfg.master_seed, 0, f"rewire:{target:g}"))
-            result = rewire_to_assortativity(base, target, rng, tolerance=cfg.rewire_tolerance)
-            g, achieved = result.graph, result.achieved_r
-            ok = int(abs(achieved - target) <= cfg.rewire_tolerance)
-        if not ok:
-            rows.append({"target_r": target, "achieved_r": achieved, "rewire_ok": 0})
+        rng = random.Random(derive_seed(cfg.master_seed, 0, f"rewire:{target:g}"))
+        result = rewire_to_assortativity(base, target, rng)
+        rewire = {"target_r": target, "achieved_r": result.achieved_r,
+                  "rewire_ok": int(result.reached)}
+        if not result.reached:
+            rows.append(rewire)
             continue
         sub = replace(cfg, master_seed=derive_seed(cfg.master_seed, 0, f"sweep:{target:g}"))
-        for row in _bias_rows(sub, _setup(g), law):
-            row.update({"target_r": target, "achieved_r": achieved, "rewire_ok": 1})
+        for row in _bias_rows(sub, _setup(result.graph), law):
+            row.update(rewire)
             rows.append(row)
     return rows
 
@@ -713,7 +719,7 @@ MODES = {
                        ("graph", "mode", _REWIRED, "f_grid", "replicas", "seed", "workers")),
     "assortativity": Mode("curves", run_assortativity_sweep, SWEEP_COLUMNS,
                           ("graph", "mode", "techniques", "f_grid", "replicas", "seed",
-                           "workers", "assortativity_targets", "rewire_tolerance")),
+                           "workers", "assortativity_targets")),
     "analytic": Mode("curves", run_analytic, ANALYTIC_COLUMNS, ("graph", "mode", "f_grid")),
     "compare": Mode("compare", run_compare, COMPARE_COLUMNS,
                     ("graph", "mode", _REWIRED, "replicas", "seed", "depth")),

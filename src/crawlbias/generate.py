@@ -71,10 +71,11 @@ class RewireResult:
     achieved_r: float
     accepted: int
     proposals: int
+    reached: bool                # |achieved_r - target_r| <= tolerance
 
 
 def rewire_to_assortativity(g: Graph, target_r: float, rng: random.Random,
-                            *, tolerance: float = 0.01,
+                            *, tolerance: float = 0.02,
                             max_steps: int | None = None) -> RewireResult:
     """Drive degree assortativity toward target_r by pairwise edge swaps.
 
@@ -82,10 +83,11 @@ def rewire_to_assortativity(g: Graph, target_r: float, rng: random.Random,
     {a,d}, {c,b}; it is rejected if it would create a self-loop or an edge
     that already exists, and accepted only if it moves r strictly closer to
     the target. Degrees never change, so |r - target| is non-increasing.
-    Stops at |r - target| <= tolerance or after max_steps proposals
-    (default 100 * edge_count) and reports the achieved r. Raises
-    ValueError, before any proposal, for a target_r outside [-1, 1] or a
-    negative tolerance.
+    Stops at |r - target| <= tolerance, with no proposal if r starts there,
+    or after max_steps proposals (default 100 * edge_count); reports the
+    achieved r and whether it reached the target. The default tolerance is
+    the one every rewired graph in the package meets. Raises ValueError,
+    before any proposal, for a target_r outside [-1, 1] or a negative tolerance.
     """
     if not -1.0 <= target_r <= 1.0:
         raise ValueError(f"target_r must lie in [-1, 1], got {target_r!r}")
@@ -96,6 +98,8 @@ def rewire_to_assortativity(g: Graph, target_r: float, rng: random.Random,
     r0 = assortativity(g)
     if r0 is None:
         raise ValueError("assortativity undefined on this graph (zero degree variance)")
+    if abs(r0 - target_r) <= tolerance:
+        return RewireResult(g, r0, 0, 0, True)
     if max_steps is None:
         max_steps = 100 * g.edge_count
 
@@ -163,9 +167,10 @@ def rewire_to_assortativity(g: Graph, target_r: float, rng: random.Random,
         gap = abs(cur - target_r)
         accepted += 1
 
-    if accepted == 0:
-        return RewireResult(g, r0, 0, proposals)
+    if accepted == 0:                # so r0 is still beyond tolerance
+        return RewireResult(g, r0, 0, proposals, False)
     out = Graph.from_edges(g.node_count, [tuple(e) for e in edges], g.labels)
     achieved = assortativity(out)
     assert achieved is not None
-    return RewireResult(out, achieved, accepted, proposals)
+    return RewireResult(out, achieved, accepted, proposals,
+                        abs(achieved - target_r) <= tolerance)

@@ -5,21 +5,24 @@ import io
 import json
 import math
 import random
+import re
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
-from crawlbias import (FIFO, DegreeDistribution, assign_stub_indices, bfs_correct, cli,
-                       configuration_model, degree_distribution,
+from crawlbias import (FIFO, DegreeDistribution, assign_stub_indices, assortativity,
+                       bfs_correct, cli, configuration_model, degree_distribution,
                        degree_sequence_from_distribution, exact_step_distribution,
                        largest_component_nodes, load_edge_list, mean_q_of_f,
                        stub_level_traversal, trace_from_csv)
-from crawlbias.experiments import (BIAS_COLUMNS, CORRECTION_COLUMNS, SWEEP_COLUMNS, TECHNIQUES,
-                                   ConfigError, ExperimentConfig, GraphSource, TechniqueSpec,
-                                   derive_seed, parse_pk_spec, run_assortativity_sweep,
-                                   run_bias_curves, run_compare, run_correction_eval,
-                                   run_technique, truncated_power_law, write_rows_csv)
+from crawlbias.experiments import (BIAS_COLUMNS, CORRECTION_COLUMNS, MODES, SWEEP_COLUMNS,
+                                   TECHNIQUES, ConfigError, ExperimentConfig, GraphSource,
+                                   TechniqueSpec, derive_seed, parse_pk_spec,
+                                   run_assortativity_sweep, run_bias_curves, run_compare,
+                                   run_correction_eval, run_technique, truncated_power_law,
+                                   write_rows_csv)
 
 
 def test_derive_seed_is_stable_and_spread():
@@ -138,12 +141,11 @@ def test_config_from_json_and_validation():
     gen = ("graph", "generate")
     sweep = dict(json.loads(json.dumps(doc)), mode="assortativity", assortativity_targets=[0.1])
     compare = {"graph": doc["graph"], "mode": "compare"}
-    reader = {"depth": compare, "rewire_tolerance": sweep, "assortativity_targets": sweep}
+    reader = {"depth": compare, "assortativity_targets": sweep}
     for where, key, value in (
         ((), "replicas", True), ((), "replicas", 1.9), (gen, "nodes", 10.7),
         ((), "seed", 1.5), ((), "f_grid", [True]), ((), "f_grid", "0.5"),
-        ((), "workers", "2"), ((), "depth", None), ((), "rewire_tolerance", None),
-        ((), "rewire_tolerance", False), (gen, "assortativity", "0.1"),
+        ((), "workers", "2"), ((), "depth", None), (gen, "assortativity", "0.1"),
         ((), "assortativity_targets", [0.1, None]), ((), "assortativity_targets", 0.1),
         ((), "techniques", "bfs"), (("graph",), "file", 5),
     ):
@@ -162,8 +164,8 @@ def test_config_from_json_and_validation():
     ok["graph"]["generate"]["assortativity"] = None
     cfg = ExperimentConfig.from_json(ok)
     assert cfg.f_grid == [1.0] and cfg.source.target_assortativity is None
-    cfg = ExperimentConfig.from_json(dict(sweep, rewire_tolerance=0, assortativity_targets=[0]))
-    assert cfg.rewire_tolerance == 0.0 and cfg.assortativity_targets == [0.0]
+    cfg = ExperimentConfig.from_json(dict(sweep, assortativity_targets=[0]))
+    assert cfg.assortativity_targets == [0.0]
 
     # a key the mode does not read fails naming the key and the mode: correction and
     # compare crawl with bfs only, and a sweep rewires to its own targets
@@ -188,6 +190,9 @@ def test_graph_source_validation():
         GraphSource("file")
     with pytest.raises(ConfigError):
         GraphSource("download", path="x")
+    # only a generated graph is rewired: a file source refuses a target it would ignore
+    with pytest.raises(ConfigError, match="file source takes no assortativity target"):
+        GraphSource("file", path="g.txt", target_assortativity=0.5)
 
 
 def _bias_cfg(**overrides):
@@ -370,7 +375,6 @@ def test_run_assortativity_sweep_rows():
         replicas=3,
         mode="assortativity",
         assortativity_targets=[-0.25, 0.0, 0.25],
-        rewire_tolerance=0.05,
     )
     rows = run_assortativity_sweep(cfg)
     by_target = {}
@@ -378,10 +382,10 @@ def test_run_assortativity_sweep_rows():
         assert set(SWEEP_COLUMNS) <= set(r)
         by_target.setdefault(r["target_r"], []).append(r)
     assert set(by_target) == {-0.25, 0.0, 0.25}
+    # target 0 goes through the same rewiring, and meets the same tolerance, as the others
     for target, grp in by_target.items():
         assert all(r["rewire_ok"] == 1 for r in grp)
-        if target != 0.0:
-            assert all(abs(r["achieved_r"] - target) <= 0.05 for r in grp)
+        assert all(abs(r["achieved_r"] - target) <= 0.02 for r in grp)
 
 
 def test_run_assortativity_sweep_worker_invariant():
@@ -404,6 +408,10 @@ def test_sweep_requires_targets_and_generated_source():
     rewired = replace(cfg, source=GraphSource("generate", pk="bimodal:2:6:0.5", nodes=300,
                                               target_assortativity=0.3))
     assert run_assortativity_sweep(rewired) == run_assortativity_sweep(cfg)
+    # target 0 is rewired like any other, so a base whose r is undefined fails there too
+    regular = replace(cfg, source=GraphSource("generate", pk="regular:3", nodes=50))
+    with pytest.raises(ValueError, match="assortativity undefined"):
+        run_assortativity_sweep(regular)
 
 
 def test_bad_pk_fails_when_the_config_is_read_in_every_mode():
@@ -490,6 +498,44 @@ def test_cli_generate_stats_sample_correct(tmp_path):
     row = next(csv.DictReader(open(out_file)))
     assert row["method"] == "bfs-corrected"
     assert float(row["corrected_mean"]) < float(row["sampled_mean"])
+
+
+def test_cli_generate_header_states_the_rewired_r(tmp_path):
+    # without --assortativity the header is the one it always was; with it, the header
+    # adds the target and the r of the graph written below it
+    plain, rewired = tmp_path / "plain.txt", tmp_path / "rewired.txt"
+    args = ["generate", "--pk", "bimodal:2:6:0.5", "--nodes", "300", "--rng-seed", "3"]
+    assert _run_cli([*args, "--out", str(plain)]) == 0
+    assert open(plain).readline() == "# pk bimodal:2:6:0.5 nodes 300 rng_seed 3\n"
+    assert _run_cli([*args, "--assortativity", "-0.2", "--out", str(rewired)]) == 0
+    words = open(rewired).readline().split()
+    assert words[:9] == ["#", "pk", "bimodal:2:6:0.5", "nodes", "300", "rng_seed", "3",
+                         "target_r", "-0.2"]
+    assert words[9] == "achieved_r" and len(words) == 11
+    achieved = float(words[10])
+    assert abs(achieved + 0.2) <= 0.02
+    assert achieved == pytest.approx(assortativity(load_edge_list(str(rewired), raw=True)),
+                                     abs=1e-11)
+
+
+def test_a_missed_rewiring_target_exits_2_and_names_it(tmp_path, capsys):
+    # this law on 2000 nodes cannot be rewired to r = -0.9 (it stops near -0.45): no
+    # graph is written, and no run goes on as if its graph had the target's r
+    pk = "powerlaw:2.5:2:100"
+    missed = r"assortativity -0\.9 reached r = -0\.\d+, outside the tolerance 0\.02"
+    edge_file = tmp_path / "g.txt"
+    assert _run_cli(["generate", "--pk", pk, "--nodes", "2000", "--rng-seed", "1",
+                     "--assortativity", "-0.9", "--out", str(edge_file)]) == 2
+    assert re.search(missed, capsys.readouterr().err)
+    assert not edge_file.exists()
+    cfg, out = tmp_path / "cfg.json", tmp_path / "bias.csv"
+    cfg.write_text(json.dumps({"graph": {"generate": {"pk": pk, "nodes": 2000,
+                                                      "assortativity": -0.9}},
+                               "techniques": ["bfs"], "f_grid": [0.5], "replicas": 1,
+                               "seed": 1}))
+    assert _run_cli(["curves", "--config", str(cfg), "--out", str(out)]) == 2
+    assert re.search(missed, capsys.readouterr().err)
+    assert not out.exists()
 
 
 def test_cli_sample_from_pk(tmp_path):
@@ -709,8 +755,8 @@ def test_cli_exit_codes(tmp_path, capsys):
                        "--technique", "bfs", "--budget", "4"])):
         assert _run_cli(argv) == 2
         assert flag in capsys.readouterr().err
-    # an assortativity no graph can have (r lies in [-1, 1]) or a negative tolerance
-    # fails when the source or config is made, naming its key
+    # an assortativity no graph can have (r lies in [-1, 1]) fails when the source or
+    # config is made, naming its key
     assert _run_cli(["generate", "--pk", "powerlaw:2.5:2:50", "--nodes", "500",
                      "--assortativity", "5"]) == 2
     assert "assortativity" in capsys.readouterr().err
@@ -721,8 +767,7 @@ def test_cli_exit_codes(tmp_path, capsys):
             ("assortativity", {"graph": {"generate": {"pk": "regular:3", "nodes": 50,
                                                       "assortativity": -1.5}},
                                "techniques": ["bfs"], "f_grid": [0.5]}),
-            ("assortativity_targets", dict(sweep, assortativity_targets=[0.1, 3.0])),
-            ("rewire_tolerance", dict(sweep, rewire_tolerance=-0.01))):
+            ("assortativity_targets", dict(sweep, assortativity_targets=[0.1, 3.0]))):
         bad.write_text(json.dumps(doc))
         assert _run_cli(["curves", "--config", str(bad)]) == 2
         assert key in capsys.readouterr().err
@@ -734,6 +779,9 @@ def test_cli_exit_codes(tmp_path, capsys):
              ["assortativity_targets", "depth", "graph.generate.assortativity", "replicas",
               "rewire_tolerance", "workers"]),
             ("bias", {"techniques": ["bfs"], "depth": 3}, ["depth"]),
+            # the sweep rewires at the one tolerance and takes none from the config
+            ("assortativity", {"techniques": ["bfs"], "assortativity_targets": [0.1],
+                               "rewire_tolerance": 0.05}, ["rewire_tolerance"]),
             ("compare", {"f_grid": [0.5], "workers": 2}, ["f_grid", "workers"])):
         gen = {"pk": "regular:3", "nodes": 50}
         if mode == "analytic":
@@ -756,13 +804,26 @@ MODE_READS = {
              "graph.generate.assortativity"],
     "correction": ["f_grid", "replicas", "seed", "workers", "graph.generate.assortativity"],
     "assortativity": ["techniques", "f_grid", "replicas", "seed", "workers",
-                      "assortativity_targets", "rewire_tolerance"],
+                      "assortativity_targets"],
     "compare": ["replicas", "seed", "depth", "graph.generate.assortativity"],
     "analytic": ["f_grid"],
 }
 KEY_VALUES = {"techniques": ["bfs"], "f_grid": [0.5], "replicas": 2, "seed": 3, "workers": 2,
-              "assortativity_targets": [0.0], "rewire_tolerance": 0.05, "depth": 2,
+              "assortativity_targets": [0.0], "depth": 2,
               "graph.generate.assortativity": 0.0}
+
+
+def test_readme_lists_the_keys_each_mode_reads():
+    # README's per-mode "Config keys" list documents MODES[mode].reads, so a key
+    # removed from, or added to, a mode cannot stay wrong there
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("each mode reads these besides:", 1)[1].split("\n\n")[1]
+    documented = {}
+    for item in block.removeprefix("- ").split("\n- "):
+        mode, keys = item.split(":", 1)
+        documented[mode.strip("`")] = sorted(re.findall(r"`([^`]+)`", keys))
+    assert documented == {mode: sorted(set(m.reads) - {"graph", "mode"})
+                          for mode, m in MODES.items()}
 
 
 def _config_with(mode, keys):

@@ -120,6 +120,27 @@ def test_rewire_noop_when_already_at_target():
     assert res.graph is g
 
 
+def test_rewire_reached_says_whether_r_is_within_tolerance():
+    # hits, misses (an unreachable target, a step cap) and graphs already within
+    # tolerance, which come back as they are with no proposal made
+    seen = set()
+    for n, seed in ((300, 5), (200, 9), (150, 21)):
+        g = _irregular_graph(n=n, seed=seed)
+        r0 = assortativity(g)
+        for target, options in ((0.25, {}), (-0.3, {}), (-0.95, {}), (0.3, {"max_steps": 40}),
+                                (r0 + 0.015, {}), (r0, {"tolerance": 0.0})):
+            res = rewire_to_assortativity(g, target, random.Random(seed), **options)
+            tolerance = options.get("tolerance", 0.02)
+            assert res.reached == (abs(res.achieved_r - target) <= tolerance)
+            if abs(r0 - target) <= tolerance:
+                assert res.graph is g
+                assert (res.achieved_r, res.accepted, res.proposals) == (r0, 0, 0)
+            else:
+                assert res.proposals > 0
+            seen.add(res.reached)
+    assert seen == {True, False}
+
+
 def test_rewire_rejects_regular_graph():
     g = Graph.from_edges(3, [(0, 1), (1, 2), (2, 0)])
     with pytest.raises(ValueError):
