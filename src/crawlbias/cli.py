@@ -15,8 +15,7 @@ from contextlib import contextmanager
 
 from . import experiments
 from .estimators import ConvergenceError, EstimationReport, bfs_correct, mhrw_correct, rw_correct
-from .graph import (GraphFormatError, assortativity, largest_component_nodes, load_edge_list,
-                    stats_row)
+from .graph import GraphFormatError, largest_component_nodes, load_edge_list, stats_row
 from .samplers import SampleTrace
 from .experiments import ConfigError, GraphSource, trace_from_csv, trace_to_csv
 
@@ -145,10 +144,10 @@ def cmd_stats(args: argparse.Namespace) -> int:
 def cmd_generate(args: argparse.Namespace) -> int:
     source = GraphSource("generate", pk=args.pk, nodes=args.nodes,
                          target_assortativity=args.assortativity)
-    g = source.build(random.Random(args.rng_seed))
+    g, achieved = source._build(random.Random(args.rng_seed))
     header = f"# pk {args.pk} nodes {args.nodes} rng_seed {args.rng_seed}"
-    if args.assortativity is not None:
-        header += f" target_r {args.assortativity:.12g} achieved_r {assortativity(g):.12g}"
+    if achieved is not None:
+        header += f" target_r {args.assortativity:.12g} achieved_r {achieved:.12g}"
     with _open_out(args.out) as out:
         out.write(header + "\n")
         for u, v in g.edges():

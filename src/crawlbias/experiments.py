@@ -8,13 +8,14 @@ import json
 import os
 import random
 from dataclasses import dataclass, field, replace
-from functools import cache, partial
+from functools import partial
 from typing import IO, Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from . import analytic
 from .estimators import ConvergenceError, bfs_correct, rmse_compare, rw_correct
-from .generate import configuration_model, degree_sequence_from_distribution, rewire_to_assortativity
-from .graph import (DegreeDistribution, Graph, degree_distribution,
+from .generate import (_TOLERANCE, configuration_model, degree_sequence_from_distribution,
+                       rewire_to_assortativity)
+from .graph import (DegreeDistribution, Graph, assortativity, degree_distribution,
                     largest_component_nodes, load_edge_list)
 from .samplers import (SampleTrace, _check_start, _make_trace, bfs, dfs, forest_fire, mhrw,
                        random_walk, snowball, weighted_without_replacement)
@@ -158,11 +159,6 @@ class TechniqueSpec:
         raise ConfigError(f"bad technique entry {obj!r}")
 
 
-#: The tolerance of every rewiring here, build's and the sweep's: both use
-#: rewire_to_assortativity's default, read here only to name it in messages.
-_TOLERANCE = rewire_to_assortativity.__kwdefaults__["tolerance"]
-
-
 @dataclass(frozen=True)
 class GraphSource:
     kind: str                    # generate | file
@@ -194,17 +190,21 @@ class GraphSource:
         """The file with the default cleanup, or a configuration-model graph on
         the rounded degree sequence of pk, rewired to target_assortativity when set.
         A rewiring that misses its target raises ConfigError, naming the r it reached."""
+        return self._build(rng)[0]
+
+    def _build(self, rng: random.Random) -> tuple[Graph, float | None]:
+        """build's graph, and the r its rewiring reached (None when not rewired)."""
         if self.kind == "file":
-            return load_edge_list(self.path)
+            return load_edge_list(self.path), None
         g = configuration_model(degree_sequence_from_distribution(self.law, self.nodes), rng)
         target = self.target_assortativity
         if target is None:
-            return g
+            return g, None
         result = rewire_to_assortativity(g, target, rng)
         if not result.reached:
             raise ConfigError(f"rewiring toward assortativity {target:g} reached r = "
                               f"{result.achieved_r:.4g}, outside the tolerance {_TOLERANCE:g}")
-        return result.graph
+        return result.graph, result.achieved_r
 
 
 @dataclass
@@ -467,7 +467,6 @@ def _bias_rows(cfg: ExperimentConfig, shared: Setup | None,
     (a walk: rw_mean, a uniform walk: true_mean, otherwise the analytic curve), rw_mean
     and true_mean of law; and how many replicas' traces fell short at that f."""
     results = _map_replicas(partial(_replica_cells, _mean_cell), cfg, shared)
-    mean_q = cache(partial(analytic.mean_q_of_f, law))     # one solve per f, not per row
     rw_mean = analytic.rw_expected(law)[1]
     true_mean = law.mean()
     references = {"walk": rw_mean, "uniform walk": true_mean}
@@ -484,7 +483,7 @@ def _bias_rows(cfg: ExperimentConfig, shared: Setup | None,
                 "replicas": len(vals),
                 "empirical_mean": mean,
                 "empirical_std": var ** 0.5,
-                "analytic_mean": mean_q(f) if reference is None else reference,
+                "analytic_mean": analytic.mean_q_of_f(law, f) if reference is None else reference,
                 "rw_mean": rw_mean,
                 "true_mean": true_mean,
                 "flagged": sum(short for _, short in cells),
@@ -572,11 +571,12 @@ def run_analytic(cfg: ExperimentConfig) -> list[dict[str, object]]:
 def run_assortativity_sweep(cfg: ExperimentConfig) -> list[dict[str, object]]:
     """Bias curves after rewiring one generated graph to each target r.
 
-    Every target, 0 included, goes through rewire_to_assortativity at its
-    default tolerance; a base graph already within tolerance of a target is
-    used as it is. A target the rewiring misses is reported in one row with
-    rewire_ok=0, and its curve rows are skipped. Rewiring keeps every degree,
-    so one reference law serves all targets.
+    Target r = 0 means the unrewired graph, whatever its r. Every other
+    target goes through rewire_to_assortativity at its default tolerance; a
+    base graph already within tolerance of a target is used as it is. A
+    target the rewiring misses is reported in one row with rewire_ok=0, and
+    its curve rows are skipped. Rewiring keeps every degree, so one
+    reference law serves all targets.
     """
     # the sweep rewires to its own targets only, so a source's target is not applied
     unrewired = replace(cfg.source, target_assortativity=None)
@@ -584,15 +584,19 @@ def run_assortativity_sweep(cfg: ExperimentConfig) -> list[dict[str, object]]:
     law = _reference_law(cfg, None)
     rows: list[dict[str, object]] = []
     for target in cfg.assortativity_targets:
-        rng = random.Random(derive_seed(cfg.master_seed, 0, f"rewire:{target:g}"))
-        result = rewire_to_assortativity(base, target, rng)
-        rewire = {"target_r": target, "achieved_r": result.achieved_r,
-                  "rewire_ok": int(result.reached)}
-        if not result.reached:
+        if target == 0.0:
+            r = assortativity(base)
+            g, achieved, ok = base, float("nan") if r is None else r, True
+        else:
+            rng = random.Random(derive_seed(cfg.master_seed, 0, f"rewire:{target:g}"))
+            result = rewire_to_assortativity(base, target, rng)
+            g, achieved, ok = result.graph, result.achieved_r, result.reached
+        rewire = {"target_r": target, "achieved_r": achieved, "rewire_ok": int(ok)}
+        if not ok:
             rows.append(rewire)
             continue
         sub = replace(cfg, master_seed=derive_seed(cfg.master_seed, 0, f"sweep:{target:g}"))
-        for row in _bias_rows(sub, _setup(result.graph), law):
+        for row in _bias_rows(sub, _setup(g), law):
             row.update(rewire)
             rows.append(row)
     return rows

@@ -65,6 +65,10 @@ def configuration_model(degrees: Sequence[int], rng: random.Random) -> Graph:
     return Graph(adj)
 
 
+#: The tolerance every rewired graph in the package meets.
+_TOLERANCE = 0.02
+
+
 @dataclass
 class RewireResult:
     graph: Graph
@@ -75,7 +79,7 @@ class RewireResult:
 
 
 def rewire_to_assortativity(g: Graph, target_r: float, rng: random.Random,
-                            *, tolerance: float = 0.02,
+                            *, tolerance: float = _TOLERANCE,
                             max_steps: int | None = None) -> RewireResult:
     """Drive degree assortativity toward target_r by pairwise edge swaps.
 
