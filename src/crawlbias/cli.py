@@ -144,7 +144,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
 def cmd_generate(args: argparse.Namespace) -> int:
     source = GraphSource("generate", pk=args.pk, nodes=args.nodes,
                          target_assortativity=args.assortativity)
-    g, achieved = source._build(random.Random(args.rng_seed))
+    g, achieved = source.build(random.Random(args.rng_seed))
     header = f"# pk {args.pk} nodes {args.nodes} rng_seed {args.rng_seed}"
     if achieved is not None:
         header += f" target_r {args.assortativity:.12g} achieved_r {achieved:.12g}"
@@ -174,7 +174,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
     if args.edgelist is not None:
         g = load_edge_list(args.edgelist, args.raw)
     else:
-        g = GraphSource("generate", pk=args.pk, nodes=args.nodes or 0).build(rng)
+        g = GraphSource("generate", pk=args.pk, nodes=args.nodes or 0).build(rng)[0]
     param = experiments.TECHNIQUES[args.technique].param
     value = getattr(args, args.technique, None)  # only the technique's own flag is left set
     tech = experiments.TechniqueSpec(args.technique,
@@ -202,7 +202,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     if args.rng_seed is not None:
         if "seed" not in mode.reads:
             raise ConfigError(f"--rng-seed: mode {cfg.mode!r} reads no seed")
-        cfg.master_seed = args.rng_seed
+        cfg.seed = args.rng_seed
     rows = mode.run(cfg)
     with _open_out(args.out) as out:
         experiments.write_rows_csv(rows, mode.columns, out, metadata=[cfg.metadata_line()])

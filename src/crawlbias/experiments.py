@@ -186,14 +186,11 @@ class GraphSource:
         else:
             raise ConfigError(f"unknown graph source {self.kind!r}")
 
-    def build(self, rng: random.Random) -> Graph:
+    def build(self, rng: random.Random) -> tuple[Graph, float | None]:
         """The file with the default cleanup, or a configuration-model graph on
-        the rounded degree sequence of pk, rewired to target_assortativity when set.
-        A rewiring that misses its target raises ConfigError, naming the r it reached."""
-        return self._build(rng)[0]
-
-    def _build(self, rng: random.Random) -> tuple[Graph, float | None]:
-        """build's graph, and the r its rewiring reached (None when not rewired)."""
+        the rounded degree sequence of pk, rewired to target_assortativity when set;
+        and the r its rewiring reached (None when not rewired). A rewiring that
+        misses its target raises ConfigError, naming the r it reached."""
         if self.kind == "file":
             return load_edge_list(self.path), None
         g = configuration_model(degree_sequence_from_distribution(self.law, self.nodes), rng)
@@ -209,13 +206,14 @@ class GraphSource:
 
 @dataclass
 class ExperimentConfig:
-    """Mirror of the JSON config document."""
+    """Mirror of the JSON config document: source holds its graph section, and
+    every other field is the top-level key of its name, with that key's default."""
 
     source: GraphSource
-    techniques: list[TechniqueSpec]
-    f_grid: list[float]
-    replicas: int
-    master_seed: int
+    techniques: list[TechniqueSpec] = field(default_factory=list)
+    f_grid: list[float] = field(default_factory=list)
+    replicas: int = 1
+    seed: int = 0
     workers: int = 1
     mode: str = "bias"           # a key of MODES
     assortativity_targets: list[float] = field(default_factory=list)
@@ -227,28 +225,36 @@ class ExperimentConfig:
         reads = _entry(MODES, self.mode, "mode").reads
         if self.replicas < 1:
             raise ConfigError("replicas must be >= 1")
-        if not self.f_grid and "f_grid" in reads:
-            raise ConfigError("f_grid must hold at least one coverage value")
-        if any(not 0.0 < f <= 1.0 for f in self.f_grid):
-            raise ConfigError("coverage values must lie in (0, 1]")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
-        if self.mode == "bias" and not self.techniques:
-            raise ConfigError("mode 'bias' needs at least one technique")
+        if self.depth < 1:
+            raise ConfigError("depth must be >= 1")
+        if any(not 0.0 < f <= 1.0 for f in self.f_grid):
+            raise ConfigError("coverage values must lie in (0, 1]")
         if any(not -1.0 <= r <= 1.0 for r in self.assortativity_targets):
             raise ConfigError(f"assortativity_targets must lie in [-1, 1], "
                               f"got {self.assortativity_targets!r}")
-        if self.mode == "assortativity":
-            if self.source.kind != "generate":
-                raise ConfigError("mode 'assortativity' needs a generated graph source")
-            if not self.assortativity_targets:
-                raise ConfigError("mode 'assortativity' needs assortativity_targets")
+        # a list the mode reads needs an entry; its rows are keyed by value (a technique
+        # by its tag), so a repeated value would only repeat rows
+        for key in reads:
+            values = getattr(self, key, None)
+            if not isinstance(values, list):
+                continue
+            if not values:
+                raise ConfigError(f"mode {self.mode!r} needs at least one entry in {key}")
+            seen = set()
+            for value in (v.tag if isinstance(v, TechniqueSpec) else v for v in values):
+                if value in seen:
+                    raise ConfigError(f"{key} names {value!r} more than once")
+                seen.add(value)
+        if "assortativity_targets" in reads and self.source.kind != "generate":
+            raise ConfigError(f"mode {self.mode!r} needs a generated graph source")
 
     @classmethod
     def from_json(cls, doc: Mapping) -> "ExperimentConfig":
         if not isinstance(doc, Mapping):
             raise ConfigError("config must be a JSON object")
-        mode = _typed("mode", doc.get("mode", "bias"), str, "a string")
+        mode = _typed("mode", doc.get("mode", cls.mode), str, "a string")
         _check_reads(doc, mode)
         graph = doc.get("graph")
         if not isinstance(graph, Mapping):
@@ -260,47 +266,29 @@ class ExperimentConfig:
             gen = graph["generate"]
             _check_keys(gen, ("pk", "nodes", "assortativity"), "graph.generate")
             source = GraphSource("generate", pk=_pk_to_str(gen.get("pk")),
-                                 nodes=_integer(gen, "nodes", 0),
+                                 nodes=_integer("nodes", gen.get("nodes", GraphSource.nodes)),
                                  target_assortativity=_typed(
                                      "assortativity", gen.get("assortativity"),
                                      (int, float, type(None)), "a number or null"))
         else:
             source = GraphSource("file", path=_typed("graph.file", graph["file"], str, "a string"))
-        techniques = [TechniqueSpec.from_json(t)
-                      for t in _typed("techniques", doc.get("techniques", []), list, "a list")]
-        return cls(
-            source=source,
-            techniques=techniques,
-            f_grid=_numbers("f_grid", doc.get("f_grid", [])),
-            replicas=_integer(doc, "replicas", 1),
-            master_seed=_integer(doc, "seed", 0),
-            workers=_integer(doc, "workers", 1),
-            mode=mode,
-            assortativity_targets=_numbers("assortativity_targets",
-                                           doc.get("assortativity_targets", [])),
-            depth=_integer(doc, "depth", 2),
-        )
+        return cls(source=source, mode=mode,
+                   **{key: _READERS[key](key, value) for key, value in doc.items()
+                      if key in _READERS})
 
     def metadata_line(self) -> str:
-        """The keys the mode reads, with the values that ran. workers is left
-        out: no output depends on it, so serial and pool runs write the same line."""
+        """The keys the mode reads, with the values that ran; techniques by their
+        tags. workers is left out: no output depends on it, so serial and pool
+        runs write the same line."""
         reads = _entry(MODES, self.mode, "mode").reads
         gen = {"pk": self.source.pk, "nodes": self.source.nodes}
         if _REWIRED in reads:
             gen["assortativity"] = self.source.target_assortativity
-        echo = {
-            "graph": {"generate": gen} if self.source.kind == "generate"
-                     else {"file": self.source.path},
-            "mode": self.mode,
-            "techniques": [t.tag for t in self.techniques],
-            "f_grid": self.f_grid,
-            "replicas": self.replicas,
-            "seed": self.master_seed,
-            "assortativity_targets": self.assortativity_targets,
-            "depth": self.depth,
-        }
-        return "config " + json.dumps({k: v for k, v in echo.items() if k in reads},
-                                      sort_keys=True)
+        echo = {key: getattr(self, key) for key in reads
+                if key not in ("graph", _REWIRED, "workers")}
+        echo["graph"] = ({"generate": gen} if self.source.kind == "generate"
+                         else {"file": self.source.path})
+        return "config " + json.dumps(echo, sort_keys=True, default=lambda tech: tech.tag)
 
 
 def _check_reads(doc: Mapping, mode: str) -> None:
@@ -335,13 +323,24 @@ def _typed(key: str, value: object, kinds: type | tuple[type, ...], what: str):
     return value
 
 
-def _integer(doc: Mapping, key: str, default: int) -> int:
-    return _typed(key, doc.get(key, default), int, "an integer")
+def _integer(key: str, value: object) -> int:
+    return _typed(key, value, int, "an integer")
 
 
 def _numbers(key: str, values: object) -> list[float]:
     return [float(_typed(f"{key} entry", v, (int, float), "a number"))
             for v in _typed(key, values, list, "a list")]
+
+
+def _techniques(key: str, entries: object) -> list[TechniqueSpec]:
+    return [TechniqueSpec.from_json(t) for t in _typed(key, entries, list, "a list")]
+
+
+#: The reader of each top-level config key but graph and mode, which from_json reads
+#: itself: reader(key, value) gives the ExperimentConfig field of that name its value.
+_READERS = {"techniques": _techniques, "f_grid": _numbers, "replicas": _integer,
+            "seed": _integer, "workers": _integer, "assortativity_targets": _numbers,
+            "depth": _integer}
 
 
 def _pk_to_str(pk: object) -> str:
@@ -393,7 +392,7 @@ def _shared_setup(cfg: ExperimentConfig) -> Setup | None:
 def _replica_setup(cfg: ExperimentConfig, replica: int, shared: Setup | None) -> Setup:
     if shared is not None:
         return shared
-    return _setup(cfg.source.build(random.Random(derive_seed(cfg.master_seed, replica, "graph"))))
+    return _setup(cfg.source.build(random.Random(derive_seed(cfg.seed, replica, "graph")))[0])
 
 
 def _reference_law(cfg: ExperimentConfig, shared: Setup | None) -> DegreeDistribution:
@@ -429,15 +428,28 @@ def _map_replicas(fn: Callable, cfg: ExperimentConfig, shared: Setup | None) -> 
     all of its workers at once, or in this process if that is 1. The shared set-up
     reaches each worker once, through the pool initializer, so a job carries only
     (cfg, replica); the result does not depend on the worker count.
+
+    A replica is handed to the pool only when a worker is free, so once one fails
+    no other starts: the pool's queue would run every job it holds. The error
+    raised is the first failed replica's, as in a serial run.
     """
     workers = min(cfg.workers, cfg.replicas, os.cpu_count() or 1)
     if workers == 1:
         return [fn(cfg, r, shared) for r in range(cfg.replicas)]
-    from concurrent.futures import ProcessPoolExecutor  # only pool runs pay for the import
+    # only pool runs pay for the import
+    from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 
+    futures, running = [], set()
     with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
                              initargs=(fn, shared)) as pool:
-        return list(pool.map(_run_in_worker, [(cfg, r) for r in range(cfg.replicas)]))
+        for replica in range(cfg.replicas):
+            if len(running) == workers:
+                done, running = wait(running, return_when=FIRST_COMPLETED)
+                if any(future.exception() for future in done):
+                    break
+            futures.append(pool.submit(_run_in_worker, (cfg, replica)))
+            running.add(futures[-1])
+    return [future.result() for future in futures]
 
 
 def _replica_cells(cell: Callable[[SampleTrace, int, int], object], cfg: ExperimentConfig,
@@ -449,7 +461,7 @@ def _replica_cells(cell: Callable[[SampleTrace, int, int], object], cfg: Experim
     budgets = [max(1, round(f * n)) for f in cfg.f_grid]
     cells = {}
     for tech in cfg.techniques:
-        rng = random.Random(derive_seed(cfg.master_seed, replica, tech.tag))
+        rng = random.Random(derive_seed(cfg.seed, replica, tech.tag))
         trace = run_technique(g, component, tech, max(budgets), rng)
         cells[tech.tag] = [cell(trace, n, budget) for budget in budgets]
     return cells
@@ -461,15 +473,28 @@ def _mean_cell(trace: SampleTrace, n: int, budget: int) -> tuple[float, bool]:
     return sum(trace.degrees[:k]) / k, k < budget
 
 
-def _bias_rows(cfg: ExperimentConfig, shared: Setup | None,
-               law: DegreeDistribution) -> list[dict[str, object]]:
+#: The technique laws whose bias row takes a level of the degree law as its reference;
+#: every other law takes the analytic curve.
+_LEVELS = ("walk", "uniform walk")
+
+
+def _curve(cfg: ExperimentConfig, law: DegreeDistribution) -> dict[float, float]:
+    """mean_q_of_f(law, f) per f, when a technique takes the curve as its reference.
+    It is solved before any replica runs, so an f that law cannot reach fails first."""
+    if all(TECHNIQUES[tech.name].law in _LEVELS for tech in cfg.techniques):
+        return {}
+    return {f: analytic.mean_q_of_f(law, f) for f in cfg.f_grid}
+
+
+def _bias_rows(cfg: ExperimentConfig, shared: Setup | None, law: DegreeDistribution,
+               curve: dict[float, float]) -> list[dict[str, object]]:
     """Mean sampled degree per (technique, f) over the replicas; the reference of its law
-    (a walk: rw_mean, a uniform walk: true_mean, otherwise the analytic curve), rw_mean
-    and true_mean of law; and how many replicas' traces fell short at that f."""
+    (a walk: rw_mean, a uniform walk: true_mean, otherwise curve[f]), rw_mean and
+    true_mean of law; and how many replicas' traces fell short at that f."""
     results = _map_replicas(partial(_replica_cells, _mean_cell), cfg, shared)
     rw_mean = analytic.rw_expected(law)[1]
     true_mean = law.mean()
-    references = {"walk": rw_mean, "uniform walk": true_mean}
+    references = dict(zip(_LEVELS, (rw_mean, true_mean)))
     rows = []
     for tech in cfg.techniques:
         reference = references.get(TECHNIQUES[tech.name].law)
@@ -483,7 +508,7 @@ def _bias_rows(cfg: ExperimentConfig, shared: Setup | None,
                 "replicas": len(vals),
                 "empirical_mean": mean,
                 "empirical_std": var ** 0.5,
-                "analytic_mean": analytic.mean_q_of_f(law, f) if reference is None else reference,
+                "analytic_mean": curve[f] if reference is None else reference,
                 "rw_mean": rw_mean,
                 "true_mean": true_mean,
                 "flagged": sum(short for _, short in cells),
@@ -495,7 +520,8 @@ def run_bias_curves(cfg: ExperimentConfig) -> list[dict[str, object]]:
     """Mean sampled degree against coverage, per technique, with the
     analytic curve, the stationary walk level, and the true mean alongside."""
     shared = _shared_setup(cfg)
-    return _bias_rows(cfg, shared, _reference_law(cfg, shared))
+    law = _reference_law(cfg, shared)
+    return _bias_rows(cfg, shared, law, _curve(cfg, law))
 
 
 def _correction_cell(trace: SampleTrace, n: int, budget: int) -> dict[str, object]:
@@ -553,9 +579,9 @@ def _avg(rows: Sequence[Mapping[str, object]], key: str) -> float:
 def run_compare(cfg: ExperimentConfig) -> list[dict[str, object]]:
     """Neighborhood estimator vs coverage-corrected traversal at equal sample
     sizes, on a fully known graph."""
-    g = cfg.source.build(random.Random(derive_seed(cfg.master_seed, 0, "graph")))
+    g = cfg.source.build(random.Random(derive_seed(cfg.seed, 0, "graph")))[0]
     x = [float(k) for k in g.degrees()]
-    cmp_rng = random.Random(derive_seed(cfg.master_seed, 0, "compare"))
+    cmp_rng = random.Random(derive_seed(cfg.seed, 0, "compare"))
     return rmse_compare(g, x, cfg.replicas, cmp_rng, depth=cfg.depth)
 
 
@@ -578,25 +604,26 @@ def run_assortativity_sweep(cfg: ExperimentConfig) -> list[dict[str, object]]:
     its curve rows are skipped. Rewiring keeps every degree, so one
     reference law serves all targets.
     """
+    law = _reference_law(cfg, None)
+    curve = _curve(cfg, law)
     # the sweep rewires to its own targets only, so a source's target is not applied
     unrewired = replace(cfg.source, target_assortativity=None)
-    base = unrewired.build(random.Random(derive_seed(cfg.master_seed, 0, "graph")))
-    law = _reference_law(cfg, None)
+    base = unrewired.build(random.Random(derive_seed(cfg.seed, 0, "graph")))[0]
     rows: list[dict[str, object]] = []
     for target in cfg.assortativity_targets:
         if target == 0.0:
             r = assortativity(base)
             g, achieved, ok = base, float("nan") if r is None else r, True
         else:
-            rng = random.Random(derive_seed(cfg.master_seed, 0, f"rewire:{target:g}"))
+            rng = random.Random(derive_seed(cfg.seed, 0, f"rewire:{target:g}"))
             result = rewire_to_assortativity(base, target, rng)
             g, achieved, ok = result.graph, result.achieved_r, result.reached
         rewire = {"target_r": target, "achieved_r": achieved, "rewire_ok": int(ok)}
         if not ok:
             rows.append(rewire)
             continue
-        sub = replace(cfg, master_seed=derive_seed(cfg.master_seed, 0, f"sweep:{target:g}"))
-        for row in _bias_rows(sub, _setup(g), law):
+        sub = replace(cfg, seed=derive_seed(cfg.seed, 0, f"sweep:{target:g}"))
+        for row in _bias_rows(sub, _setup(g), law, curve):
             row.update(rewire)
             rows.append(row)
     return rows

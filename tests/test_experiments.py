@@ -158,6 +158,26 @@ def test_config_from_json_and_validation():
         section[key] = value
         with pytest.raises(ConfigError, match=rf"{key}.*must be"):
             ExperimentConfig.from_json(bad)
+    # a list the mode reads holds at least one entry and names each value once (a
+    # technique by its tag), and compare's depth is >= 1: each fails naming its key
+    for base, key, value, message in (
+        (doc, "techniques", [], "mode 'bias' needs at least one entry in techniques"),
+        (doc, "f_grid", [], "mode 'bias' needs at least one entry in f_grid"),
+        (sweep, "techniques", [], "mode 'assortativity' needs at least one entry in techniques"),
+        (sweep, "assortativity_targets", [],
+         "mode 'assortativity' needs at least one entry in assortativity_targets"),
+        (doc, "techniques", ["bfs", {"name": "ff", "p": 0.5}, "bfs"],
+         "techniques names 'bfs' more than once"),
+        (doc, "techniques", [{"name": "ff", "p": 0.5}, {"name": "ff", "p": 0.5000000001}],
+         "techniques names 'ff:p=0.5' more than once"),
+        (doc, "f_grid", [0.2, 0.6, 0.2], "f_grid names 0.2 more than once"),
+        (doc, "f_grid", [1, 0.5, 1.0], "f_grid names 1.0 more than once"),
+        (sweep, "assortativity_targets", [0.1, 0, -0.1, 0.0],
+         "assortativity_targets names 0.0 more than once"),
+        (compare, "depth", 0, "depth must be >= 1"),
+    ):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            ExperimentConfig.from_json(dict(json.loads(json.dumps(base)), **{key: value}))
     # ... while an integer stands for a number and null for no rewiring
     ok = json.loads(json.dumps(doc))
     ok.update(f_grid=[1])
@@ -201,7 +221,7 @@ def _bias_cfg(**overrides):
         techniques=[TechniqueSpec("bfs"), TechniqueSpec("rw")],
         f_grid=[0.2, 0.6],
         replicas=4,
-        master_seed=11,
+        seed=11,
     )
     base.update(overrides)
     return ExperimentConfig(**base)
@@ -246,7 +266,7 @@ def test_bias_flagged_counts_short_replicas_per_f():
     # every bfs trace reaches 5% coverage and none reaches 90%
     cfg = _bias_cfg(source=GraphSource("generate", pk="powerlaw:2.5:1:100", nodes=2000),
                     techniques=[TechniqueSpec("bfs")], f_grid=[0.05, 0.9], replicas=3,
-                    master_seed=3)
+                    seed=3)
     assert [row["flagged"] for row in run_bias_curves(cfg)] == [0, 3]
 
 
@@ -305,7 +325,7 @@ def test_correction_mode_corrects_prefixes_of_bias_modes_bfs_trace(tmp_path):
     for source, f_grid in ((GraphSource("file", path=str(edge_file)), [0.2, 0.5, 0.7]),
                            (sparse, [0.05, 0.9])):
         bias = _bias_cfg(source=source, techniques=[TechniqueSpec("bfs")], f_grid=f_grid,
-                         replicas=3, master_seed=3)
+                         replicas=3, seed=3)
         corr = replace(bias, mode="correction", techniques=[])
         avg = [row for row in run_correction_eval(corr) if row["replica"] == "avg"]
         assert [row["sampled_mean"] for row in avg] == \
@@ -315,7 +335,7 @@ def test_correction_mode_corrects_prefixes_of_bias_modes_bfs_trace(tmp_path):
              if row["f"] == 0.9 and row["replica"] != "avg"]
     assert len(short) == 3
     for row in short:
-        g = sparse.build(random.Random(derive_seed(3, row["replica"], "graph")))
+        g = sparse.build(random.Random(derive_seed(3, row["replica"], "graph")))[0]
         trace = run_technique(g, sorted(largest_component_nodes(g)), TechniqueSpec("bfs"),
                               round(0.9 * g.node_count),
                               random.Random(derive_seed(3, row["replica"], "bfs")))
@@ -331,21 +351,21 @@ def test_map_replicas_starts_no_more_workers_than_it_can_use(monkeypatch):
 
     started = []
 
-    class SerialPool:
-        """Records its max_workers and runs the jobs here, in order: no process starts."""
+    class SerialPool(concurrent.futures.Executor):
+        """Records its max_workers and runs each job here, when it is submitted, as a
+        process pool would soon after: no process starts."""
 
         def __init__(self, max_workers, initializer, initargs):
             started.append(max_workers)
             initializer(*initargs)
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, jobs):
-            return map(fn, jobs)
+        def submit(self, fn, *args):
+            future = concurrent.futures.Future()
+            try:
+                future.set_result(fn(*args))
+            except ValueError as exc:
+                future.set_exception(exc)
+            return future
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(experiments, "_worker", None)
@@ -359,6 +379,40 @@ def test_map_replicas_starts_no_more_workers_than_it_can_use(monkeypatch):
         rows = run_bias_curves(replace(cfg, workers=workers, replicas=replicas))
         assert started == pool
         assert rows == (serial if replicas == 3 else run_bias_curves(replace(cfg, replicas=1)))
+
+    # a failed replica stops the pool: no replica starts after it, and its error
+    # propagates, the first failed replica's as in a serial run
+    ran = []
+
+    def fail_from_1(cfg, replica, shared):
+        ran.append(replica)
+        if replica >= 1:
+            raise ValueError(f"replica {replica} failed")
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    for workers in (1, 2):
+        ran.clear()
+        with pytest.raises(ValueError, match="replica 1 failed"):
+            experiments._map_replicas(fail_from_1, replace(cfg, workers=workers, replicas=6),
+                                      None)
+        assert ran == [0, 1]
+
+
+def test_unreachable_coverage_fails_before_any_replica_runs(monkeypatch):
+    # a fifth of these nodes is isolated, so no crawl covers more than 0.8 of the graph
+    from crawlbias import experiments
+
+    def never(*args):
+        raise AssertionError("ran before the coverage was checked")
+
+    monkeypatch.setattr(experiments, "_map_replicas", never)
+    monkeypatch.setattr(experiments, "rewire_to_assortativity", never)
+    bias = _bias_cfg(source=GraphSource("generate", pk='{"0": 0.2, "3": 0.8}', nodes=100),
+                     f_grid=[0.5, 0.9])
+    sweep = replace(bias, mode="assortativity", assortativity_targets=[0.0, 0.1])
+    for run, cfg in ((run_bias_curves, bias), (run_assortativity_sweep, sweep)):
+        with pytest.raises(ValueError, match=r"coverage 0\.9 outside reachable range"):
+            run(cfg)
 
 
 def test_run_compare_rows():
@@ -791,6 +845,11 @@ def test_cli_exit_codes(tmp_path, capsys):
                                "f_grid": [0.5], "mode": "analytic"}))
     assert _run_cli(["curves", "--config", str(bad), "--rng-seed", "5"]) == 2
     assert "--rng-seed" in capsys.readouterr().err
+    # a depth below 1 fails when the config is read, before the graph is loaded
+    bad.write_text(json.dumps({"graph": {"file": str(tmp_path / "missing.txt")},
+                               "mode": "compare", "depth": 0}))
+    assert _run_cli(["compare", "--config", str(bad)]) == 2
+    assert "depth must be >= 1" in capsys.readouterr().err
 
 
 # Which config keys each mode reads, written out here rather than read from

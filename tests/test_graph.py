@@ -277,7 +277,7 @@ def test_shared_setup_component_is_the_loaded_graph(tmp_path):
     edge_file.write_text(_messy_edge_list(random.Random(5)) + "\n900 901\n")
     cfg = ExperimentConfig(source=GraphSource("file", path=str(edge_file)),
                            techniques=[TechniqueSpec("bfs")], f_grid=[0.5], replicas=1,
-                           master_seed=0)
+                           seed=0)
     g, component = _shared_setup(cfg)
     assert component == sorted(largest_component_nodes(g)) == list(range(g.node_count))
 

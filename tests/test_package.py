@@ -52,4 +52,25 @@ def test_cli_uses_only_public_names_of_the_package():
         if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
                 and node.value.id in modules and node.attr.startswith("_")):
             private.append(f"line {node.lineno} uses {node.value.id}.{node.attr}")
+        # nor does it reach for a private attribute of an object the package made
+        elif (isinstance(node, ast.Attribute) and node.attr.startswith("_")
+                and not (node.attr.startswith("__") and node.attr.endswith("__"))):
+            private.append(f"line {node.lineno} uses .{node.attr}")
     assert private == []
+
+
+def test_no_mode_is_compared_with_a_string():
+    # a rule that depends on the mode follows from what MODES says the mode reads,
+    # so a new mode cannot miss a rule written for one mode by name
+    compared = []
+    for name in ("experiments.py", "cli.py"):
+        tree = ast.parse((PACKAGE_DIR / name).read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Compare):
+                continue
+            operands = [node.left, *node.comparators]
+            if (any(isinstance(op, ast.Attribute) and op.attr == "mode" for op in operands)
+                    and any(isinstance(op, ast.Constant) and isinstance(op.value, str)
+                            for op in operands)):
+                compared.append(f"{name}:{node.lineno}")
+    assert compared == []
