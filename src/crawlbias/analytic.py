@@ -165,44 +165,23 @@ def exact_step_distribution(degrees: Sequence[int], step: int) -> list[float]:
     z = sum(degrees)
     if z == 0:
         raise ValueError("degree sequence has no stubs")
-    n = len(degrees)
-    p1 = [k / z for k in degrees]
-    if step == 1:
-        return p1
+    probs = [0.0] * len(degrees)
 
-    if step == 2:
-        p2 = [0.0] * n
-        for u in range(n):
-            if p1[u] == 0.0:
+    def draw(p: float, rest: int, drawn: tuple[int, ...], left: int) -> None:
+        """Draw one of the undrawn nodes from the rest stubs, the path so far having
+        probability p; at the last draw add each outcome's probability to probs."""
+        for v, k in enumerate(degrees):
+            if k == 0 or v in drawn:
                 continue
-            rest = z - degrees[u]
-            if rest <= 0:
-                continue  # u holds every stub: no second draw exists down this branch
-            for v in range(n):
-                if v != u:
-                    p2[v] += degrees[v] / rest * p1[u]
-        _check_total(p2, step)
-        return p2
+            pv = k / rest * p
+            if left == 1:
+                probs[v] += pv
+            elif rest > k:  # else v holds every stub left: no later draw down this path
+                draw(pv, rest - k, (*drawn, v), left - 1)
 
-    p3 = [0.0] * n
-    for u in range(n):
-        if p1[u] == 0.0:
-            continue
-        rest_u = z - degrees[u]
-        if rest_u <= 0:
-            continue
-        for v in range(n):
-            if v == u or degrees[v] == 0:
-                continue
-            w_uv = degrees[v] / rest_u * p1[u]
-            rest_uv = rest_u - degrees[v]
-            if rest_uv <= 0:
-                continue
-            for w in range(n):
-                if w != u and w != v:
-                    p3[w] += degrees[w] / rest_uv * w_uv
-    _check_total(p3, step)
-    return p3
+    draw(1.0, z, (), step)
+    _check_total(probs, step)
+    return probs
 
 
 def _check_total(probs: list[float], step: int) -> None:

@@ -236,8 +236,8 @@ def cmd_correct(args: argparse.Namespace) -> int:
             "sampled_mean": sampled,
             "corrected_mean": report.mean,
             "iterations": report.iterations,
-            "t_value": "" if report.t_value is None else report.t_value,
-            "residual": "" if report.residual is None else report.residual,
+            "t_value": report.t_value,
+            "residual": report.residual,
         }
         experiments.write_rows_csv([row], cols, out)
     return 0

@@ -77,12 +77,11 @@ def _reweight(technique: str, trace: SampleTrace, x: Sequence[float] | None,
 
 
 def mhrw_correct(trace: SampleTrace, x: Sequence[float] | None = None) -> EstimationReport:
-    """Plain mean: the degree-corrected walk already samples uniformly."""
+    """Plain mean: the degree-corrected walk already samples uniformly, so every
+    record weighs 1 in the reweighting rw_correct and bfs_correct use too."""
     if not trace.nodes:
         raise ValueError("empty trace")
-    xs = _resolve_x(trace, x)
-    q = empirical_q(trace)
-    return EstimationReport("mhrw", sum(xs) / len(xs), q, q.mean())
+    return _reweight("mhrw", trace, x, empirical_q(trace), lambda k: 1.0)
 
 
 def bfs_correct(trace: SampleTrace, f_real: float, x: Sequence[float] | None = None,
@@ -270,7 +269,7 @@ def rmse_compare(g: Graph, x: Sequence[float], replicas: int, rng: random.Random
             "mean_estimate": sum(vals) / len(vals),
             "rmse": rmse,
             "replicas": len(vals),
-            "diag_iterations": (sum(d[0] for d in dd) / len(dd)) if dd else "",
-            "diag_residual": max(d[1] for d in dd) if dd else "",
+            "diag_iterations": (sum(d[0] for d in dd) / len(dd)) if dd else None,
+            "diag_residual": max(d[1] for d in dd) if dd else None,
         })
     return rows

@@ -235,7 +235,8 @@ class ExperimentConfig:
             raise ConfigError(f"assortativity_targets must lie in [-1, 1], "
                               f"got {self.assortativity_targets!r}")
         # a list the mode reads needs an entry; its rows are keyed by value (a technique
-        # by its tag), so a repeated value would only repeat rows
+        # by its tag, a sweep target also by the tag that seeds it), so a repeated key
+        # would only repeat rows
         for key in reads:
             values = getattr(self, key, None)
             if not isinstance(values, list):
@@ -244,9 +245,10 @@ class ExperimentConfig:
                 raise ConfigError(f"mode {self.mode!r} needs at least one entry in {key}")
             seen = set()
             for value in (v.tag if isinstance(v, TechniqueSpec) else v for v in values):
-                if value in seen:
+                keys = {value, _target_tag(value)} if key == "assortativity_targets" else {value}
+                if not seen.isdisjoint(keys):
                     raise ConfigError(f"{key} names {value!r} more than once")
-                seen.add(value)
+                seen |= keys
         if "assortativity_targets" in reads and self.source.kind != "generate":
             raise ConfigError(f"mode {self.mode!r} needs a generated graph source")
 
@@ -533,7 +535,7 @@ def _correction_cell(trace: SampleTrace, n: int, budget: int) -> dict[str, objec
         rep = bfs_correct(prefix, k / n)
         corrected, converged, iterations, residual = rep.mean, 1, rep.iterations, rep.residual
     except ConvergenceError as exc:            # recorded, not fatal
-        corrected, converged, iterations, residual = "", 0, exc.iterations, exc.residual
+        corrected, converged, iterations, residual = None, 0, exc.iterations, exc.residual
     return {"sampled_mean": sum(prefix.degrees) / k, "rw_corrected": rw_correct(prefix).mean,
             "bfs_corrected": corrected, "converged": converged, "iterations": iterations,
             "residual": residual}
@@ -563,10 +565,10 @@ def run_correction_eval(cfg: ExperimentConfig) -> list[dict[str, object]]:
             "replica": "avg",
             "sampled_mean": _avg(group, "sampled_mean"),
             "rw_corrected": _avg(group, "rw_corrected"),
-            "bfs_corrected": _avg(ok, "bfs_corrected") if ok else "",
+            "bfs_corrected": _avg(ok, "bfs_corrected") if ok else None,
             "converged": len(ok),
             "iterations": _avg(group, "iterations"),
-            "residual": "",
+            "residual": None,
             "true_mean": true_mean,
         })
     return rows
@@ -594,6 +596,12 @@ def run_analytic(cfg: ExperimentConfig) -> list[dict[str, object]]:
     return analytic.curve_rows(cfg.source.law, cfg.f_grid)
 
 
+def _target_tag(target: float) -> str:
+    """The tag that seeds a sweep target's rewiring and rows: targets that share
+    it would draw the same rows, so ExperimentConfig refuses them."""
+    return f"{target:g}"
+
+
 def run_assortativity_sweep(cfg: ExperimentConfig) -> list[dict[str, object]]:
     """Bias curves after rewiring one generated graph to each target r.
 
@@ -615,14 +623,14 @@ def run_assortativity_sweep(cfg: ExperimentConfig) -> list[dict[str, object]]:
             r = assortativity(base)
             g, achieved, ok = base, float("nan") if r is None else r, True
         else:
-            rng = random.Random(derive_seed(cfg.seed, 0, f"rewire:{target:g}"))
+            rng = random.Random(derive_seed(cfg.seed, 0, f"rewire:{_target_tag(target)}"))
             result = rewire_to_assortativity(base, target, rng)
             g, achieved, ok = result.graph, result.achieved_r, result.reached
         rewire = {"target_r": target, "achieved_r": achieved, "rewire_ok": int(ok)}
         if not ok:
             rows.append(rewire)
             continue
-        sub = replace(cfg, seed=derive_seed(cfg.seed, 0, f"sweep:{target:g}"))
+        sub = replace(cfg, seed=derive_seed(cfg.seed, 0, f"sweep:{_target_tag(target)}"))
         for row in _bias_rows(sub, _setup(g), law, curve):
             row.update(rewire)
             rows.append(row)
@@ -637,10 +645,13 @@ def write_rows_csv(rows: Sequence[Mapping[str, object]], columns: Sequence[str],
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(columns)
     for row in rows:
-        writer.writerow([_fmt_cell(row.get(c, "")) for c in columns])
+        writer.writerow([_fmt_cell(row.get(c)) for c in columns])
 
 
 def _fmt_cell(v: object) -> str:
+    """A cell's CSV text: None (a value the row does not have) is the empty cell."""
+    if v is None:
+        return ""
     if isinstance(v, bool):
         return str(int(v))
     if isinstance(v, float):
@@ -664,16 +675,18 @@ def trace_to_csv(trace: SampleTrace, out: IO[str], labels: Sequence[int] | None 
             f"revivals={trace.revivals}")
     if rng_seed is not None:
         meta += f" rng_seed={rng_seed}"
-    xs = trace.x_values if trace.x_values is not None else [""] * len(trace.nodes)
+    xs = trace.x_values if trace.x_values is not None else [None] * len(trace.nodes)
     rows = [{"position": i, "node": name(v), "degree": k, "x_value": x}
             for i, (v, k, x) in enumerate(zip(trace.nodes, trace.degrees, xs))]
-    write_rows_csv(rows, ["position", "node", "degree", "x_value"], out, metadata=[meta])
+    write_rows_csv(rows, TRACE_COLUMNS, out, metadata=[meta])
 
 
 def trace_from_csv(source: str | IO[str] | Iterable[str]) -> SampleTrace:
     """Read a trace written by trace_to_csv. Node ids are kept as written.
 
-    x_value must be filled on every row or on none.
+    The header must be trace_to_csv's, TRACE_COLUMNS, so that no column is read
+    as another and no record is taken for the header. x_value must be filled on
+    every row or on none.
     """
     if isinstance(source, str):
         with open(source, "r", encoding="utf-8") as fh:
@@ -694,10 +707,13 @@ def trace_from_csv(source: str | IO[str] | Iterable[str]) -> SampleTrace:
                     meta[key] = val
             continue
         if not header_seen:
-            header_seen = True  # column header
+            if text.split(",") != TRACE_COLUMNS:
+                raise ValueError(f"trace header must be {','.join(TRACE_COLUMNS)}, "
+                                 f"got {text!r}")
+            header_seen = True
             continue
         parts = text.split(",")
-        if len(parts) != 4:
+        if len(parts) != len(TRACE_COLUMNS):
             raise ValueError(f"malformed trace row: {text!r}")
         nodes.append(int(parts[1]))
         degrees.append(int(parts[2]))
@@ -720,6 +736,7 @@ def trace_from_csv(source: str | IO[str] | Iterable[str]) -> SampleTrace:
     )
 
 
+TRACE_COLUMNS = ["position", "node", "degree", "x_value"]
 BIAS_COLUMNS = ["technique", "f", "replicas", "empirical_mean", "empirical_std",
                 "analytic_mean", "rw_mean", "true_mean", "flagged"]
 CORRECTION_COLUMNS = ["f", "replica", "sampled_mean", "bfs_corrected", "rw_corrected",

@@ -57,12 +57,8 @@ def configuration_model(degrees: Sequence[int], rng: random.Random) -> Graph:
         while j > i:
             j = getrandbits(k)
         stubs[i], stubs[j] = stubs[j], stubs[i]
-    adj: list[list[int]] = [[] for _ in degrees]
     pairs = iter(stubs)
-    for a, b in zip(pairs, pairs):
-        adj[a].append(b)
-        adj[b].append(a)
-    return Graph(adj)
+    return Graph.from_edges(len(degrees), zip(pairs, pairs))
 
 
 #: The tolerance every rewired graph in the package meets.

@@ -120,6 +120,14 @@ def _check_start(g: Graph, seed: int, budget: int) -> None:
         raise ValueError("budget must be >= 1")
 
 
+def _check_walk(g: Graph, seed: int, steps: int) -> None:
+    _check_node(g, seed)
+    if steps < 1:
+        raise ValueError("steps must be >= 1")
+    if steps > 1 and not g.adjacency[seed]:
+        raise ValueError("walk started on an isolated node")
+
+
 def _make_trace(technique: str, g: Graph, seed: int, nodes: list[int],
                 with_replacement: bool, revivals: int = 0) -> SampleTrace:
     degs = [len(g.adjacency[v]) for v in nodes]
@@ -263,12 +271,8 @@ def random_walk(g: Graph, seed: int, steps: int, rng: random.Random) -> SampleTr
     Moves to a uniform incident stub, so parallel edges weight their endpoint
     proportionally and a self-loop is taken with probability 2/k_v.
     """
-    _check_node(g, seed)
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
+    _check_walk(g, seed, steps)
     adj = g.adjacency
-    if steps > 1 and not adj[seed]:
-        raise ValueError("walk started on an isolated node")
     getrandbits = rng.getrandbits
     nodes = [seed]
     u = seed
@@ -286,12 +290,8 @@ def mhrw(g: Graph, seed: int, steps: int, rng: random.Random) -> SampleTrace:
     rejection the current node is recorded again. Transition probability to
     each neighbor w is therefore (1/k_u) * min(1, k_u/k_w).
     """
-    _check_node(g, seed)
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
+    _check_walk(g, seed, steps)
     adj = g.adjacency
-    if steps > 1 and not adj[seed]:
-        raise ValueError("walk started on an isolated node")
     getrandbits, draw = rng.getrandbits, rng.random
     nodes = [seed]
     u = seed
@@ -380,6 +380,18 @@ def stub_level_traversal(degrees: Sequence[int], assignment: StubAssignment, see
             return  # stub burned out: never followed, stays matchable
         q.append(s)
 
+    def visit(w: int, skip: int) -> None:
+        """w joins the trace; below the budget, its stubs but skip are enqueued.
+        The loops below stop at the budget, so no stub is enqueued past it."""
+        visited[w] = 1
+        trace.append(w)
+        if len(trace) < budget:
+            for s in range(start[w], start[w + 1]):
+                if s != skip:
+                    enqueue(s)
+
+    # the seed's stubs are enqueued even at budget 1: their randomized_fifo coins are
+    # part of the seeded rng stream
     for s in range(start[seed], start[seed + 1]):
         enqueue(s)
 
@@ -394,15 +406,8 @@ def stub_level_traversal(degrees: Sequence[int], assignment: StubAssignment, see
             matched[a] = 1
             matched[b] = 1
             edges.append((owner[a], owner[b]))
-            w = owner[b]
-            if not visited[w]:
-                visited[w] = 1
-                trace.append(w)
-                if len(trace) == budget:
-                    break
-                for s in range(start[w], start[w + 1]):
-                    if s != b:
-                        enqueue(s)
+            if not visited[owner[b]]:
+                visit(owner[b], b)
         if len(trace) >= budget or not restart:
             break
         while pos < total and matched[order[pos]]:
@@ -410,16 +415,10 @@ def stub_level_traversal(degrees: Sequence[int], assignment: StubAssignment, see
         if pos == total:
             break  # every stub matched
         s0 = order[pos]
-        w = owner[s0]
-        if visited[w]:
+        if visited[owner[s0]]:
             q.append(s0)  # a burned-out stub resurfaces; follow it directly
         else:
-            visited[w] = 1
-            trace.append(w)
-            if len(trace) >= budget:
-                break
-            for s in range(start[w], start[w + 1]):
-                enqueue(s)
+            visit(owner[s0], -1)
 
     realized = Graph.from_edges(n, edges)
     degs = [degrees[v] for v in trace]

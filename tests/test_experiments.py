@@ -174,6 +174,10 @@ def test_config_from_json_and_validation():
         (doc, "f_grid", [1, 0.5, 1.0], "f_grid names 1.0 more than once"),
         (sweep, "assortativity_targets", [0.1, 0, -0.1, 0.0],
          "assortativity_targets names 0.0 more than once"),
+        # a sweep target's rewiring and rows are seeded by its :g tag, so targets
+        # that share it would write the same rows twice
+        (sweep, "assortativity_targets", [0.1, 0.1000000001],
+         "assortativity_targets names 0.1000000001 more than once"),
         (compare, "depth", 0, "depth must be >= 1"),
     ):
         with pytest.raises(ConfigError, match=re.escape(message)):

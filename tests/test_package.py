@@ -74,3 +74,25 @@ def test_no_mode_is_compared_with_a_string():
                             for op in operands)):
                 compared.append(f"{name}:{node.lineno}")
     assert compared == []
+
+
+def test_no_run_of_four_statements_is_restated():
+    # a rule written out twice drifts apart; any four consecutive statements inside
+    # a function or class body (module level excluded) appear in one place only
+    run = 4
+    places: dict[str, set[str]] = {}
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for scope in ast.walk(tree):
+            if not isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            for node in ast.walk(scope):
+                for name in ("body", "orelse", "finalbody"):
+                    block = getattr(node, name, None)
+                    if not isinstance(block, list):
+                        continue  # a lambda's or an if-expression's body is one expression
+                    for i in range(len(block) - run + 1):
+                        key = "\n".join(ast.dump(stmt) for stmt in block[i:i + run])
+                        places.setdefault(key, set()).add(f"{path.name}:{block[i].lineno}")
+    restated = sorted(sorted(where) for where in places.values() if len(where) > 1)
+    assert restated == []

@@ -528,3 +528,9 @@ def test_trace_csv_rejects_garbage():
     # x_value filled on some rows and blank on others is not read as zeros
     with pytest.raises(ValueError, match="x_value"):
         trace_from_csv(io.StringIO("position,node,degree,x_value\n0,1,2,5\n1,2,3,\n2,3,2,7\n"))
+    # the header must be trace_to_csv's: swapped columns would read x as the degree,
+    # and a file without one would lose its first record
+    with pytest.raises(ValueError, match="trace header must be position,node,degree,x_value"):
+        trace_from_csv(io.StringIO("position,node,x_value,degree\n0,1,7,3\n1,2,7,1\n2,3,7,2\n"))
+    with pytest.raises(ValueError, match="trace header must be"):
+        trace_from_csv(io.StringIO("# technique=bfs f=0.5\n0,1,3,\n1,2,1,\n2,3,2,\n"))
