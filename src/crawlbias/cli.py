@@ -228,12 +228,11 @@ def cmd_correct(args: argparse.Namespace) -> int:
     method = args.method or _TECHNIQUE_METHODS.get(trace.technique, "bfs")
     _check_flags(("--f", args.f is not None, "--method bfs", f"--method {method}"))
     report = _METHODS[method](trace, args.f)
-    sampled = sum(trace.degrees) / len(trace.degrees)
     with _open_out(args.out) as out:
         cols = ["method", "sampled_mean", "corrected_mean", "iterations", "t_value", "residual"]
         row = {
             "method": report.technique,
-            "sampled_mean": sampled,
+            "sampled_mean": mhrw_correct(trace).mean,  # the plain mean of what is corrected
             "corrected_mean": report.mean,
             "iterations": report.iterations,
             "t_value": report.t_value,

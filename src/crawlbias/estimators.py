@@ -193,42 +193,29 @@ def arbitrary_topology_estimate(g: Graph, x: Sequence[float], seed: int,
             raise ValueError("half_radius inclusion weights are sample-computable "
                              "only under uniform seed selection")
 
+    # Q(seed), and seeds_of(v): the seeds w whose Q(w) holds v
+    half = scheme.depth // 2
     if scheme.variant == "trivial":
-        q_set = [seed]
-        pi = {seed: probs[seed]}
+        q_set, seeds_of = [seed], lambda v: (v,)
     elif scheme.variant == "extreme":
         v_star = scheme.special
         if not 0 <= v_star < n:
             raise ValueError(f"unknown special node {v_star}")
         sample = ball(g, seed, scheme.depth)
-        if seed == v_star:
-            q_set = sorted(sample)
-            pi = {v: probs[v] + (probs[v_star] if v != v_star else 0.0) for v in q_set}
-        else:
-            q_set = [seed]
-            # ball symmetry: seed lies in B_i(v*) iff v* lies in B_i(seed)
-            extra = probs[v_star] if v_star in sample else 0.0
-            pi = {seed: probs[seed] + extra}
+        q_set = sorted(sample) if seed == v_star else [seed]
+        # v lies in Q(v*) = B_i(v*) iff v* lies in B_i(v), by ball symmetry; for v in
+        # Q(seed) that is v* in the sample, as v is the seed or seed = v*
+        seeds_of = lambda v: (v, v_star) if v != v_star and v_star in sample else (v,)
     elif scheme.variant == "half_radius":
-        half = scheme.depth // 2
         q_set = sorted(ball(g, seed, half))
-        pi = {v: sum(probs[w] for w in ball(g, v, half)) for v in q_set}
+        seeds_of = lambda v: ball(g, v, half)
     else:  # half_radius_extended, oracle only
-        half = scheme.depth // 2
         big = [frozenset(ball(g, w, scheme.depth)) for w in range(n)]
-        pi_acc = [0.0] * n
-        q_of_seed: list[int] | None = None
-        for w in range(n):
-            q_w = set(ball(g, w, half))
-            bw = big[w]
-            q_w.update(v for v in range(n) if big[v] <= bw)
-            for v in q_w:
-                pi_acc[v] += probs[w]
-            if w == seed:
-                q_of_seed = sorted(q_w)
-        q_set = q_of_seed
-        pi = {v: pi_acc[v] for v in q_set}
-
+        q = [set(ball(g, w, half)).union(v for v in range(n) if big[v] <= big[w])
+             for w in range(n)]
+        q_set = sorted(q[seed])
+        seeds_of = lambda v: [w for w in range(n) if v in q[w]]
+    pi = {v: sum(probs[w] for w in seeds_of(v)) for v in q_set}
     total = sum(x[v] / pi[v] for v in q_set)
     return EstimationReport(f"arb-{scheme.variant}", total / n, total=total)
 
@@ -249,27 +236,26 @@ def rmse_compare(g: Graph, x: Sequence[float], replicas: int, rng: random.Random
     scheme = NeighborhoodScheme("half_radius", depth)
     n = g.node_count
     truth = sum(x) / n
-    per_method: dict[str, list[float]] = {}
-    diags: dict[str, list[tuple[int, float]]] = {}
+    arb: list[EstimationReport] = []
+    corrected: list[EstimationReport] = []
     for _ in range(replicas):
         seed = rng.randrange(n)
-        rep = arbitrary_topology_estimate(g, x, seed, scheme)
-        per_method.setdefault(rep.technique, []).append(rep.mean)
+        arb.append(arbitrary_topology_estimate(g, x, seed, scheme))
         trace = _make_trace("bfs", g, seed, list(ball(g, seed, depth)), False)
-        xs = [x[v] for v in trace.nodes]
-        rep = bfs_correct(trace, len(trace) / n, xs)
-        per_method.setdefault(rep.technique, []).append(rep.mean)
-        diags.setdefault(rep.technique, []).append((rep.iterations, abs(rep.residual)))
-    rows = []
-    for method, vals in per_method.items():
-        rmse = (sum((v - truth) ** 2 for v in vals) / len(vals)) ** 0.5
-        dd = diags.get(method)
-        rows.append({
-            "method": method,
-            "mean_estimate": sum(vals) / len(vals),
-            "rmse": rmse,
-            "replicas": len(vals),
-            "diag_iterations": (sum(d[0] for d in dd) / len(dd)) if dd else None,
-            "diag_residual": max(d[1] for d in dd) if dd else None,
-        })
-    return rows
+        corrected.append(bfs_correct(trace, len(trace) / n, [x[v] for v in trace.nodes]))
+    return [_rmse_row(arb, truth),
+            _rmse_row(corrected, truth, sum(r.iterations for r in corrected) / replicas,
+                      max(abs(r.residual) for r in corrected))]
+
+
+def _rmse_row(reports: list[EstimationReport], truth: float, iterations: float | None = None,
+              residual: float | None = None) -> dict[str, object]:
+    vals = [r.mean for r in reports]
+    return {
+        "method": reports[0].technique,
+        "mean_estimate": sum(vals) / len(vals),
+        "rmse": (sum((v - truth) ** 2 for v in vals) / len(vals)) ** 0.5,
+        "replicas": len(vals),
+        "diag_iterations": iterations,
+        "diag_residual": residual,
+    }

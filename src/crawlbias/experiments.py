@@ -457,10 +457,16 @@ def _map_replicas(fn: Callable, cfg: ExperimentConfig, shared: Setup | None) -> 
 def _replica_cells(cell: Callable[[SampleTrace, int, int], object], cfg: ExperimentConfig,
                    replica: int, shared: Setup | None) -> dict[str, list]:
     """Per technique tag, cell(trace, n, budget) at each f's budget. trace is the
-    technique's one run to the largest budget: its sample at f is the trace's prefix."""
+    technique's one run to the largest budget: its sample at f is the trace's prefix.
+    Coverages that share a budget would sample the same prefix, so they are refused."""
     g, component = _replica_setup(cfg, replica, shared)
     n = g.node_count
     budgets = [max(1, round(f * n)) for f in cfg.f_grid]
+    first: dict[int, float] = {}
+    for f, budget in zip(cfg.f_grid, budgets):
+        if first.setdefault(budget, f) != f:
+            raise ConfigError(f"f_grid values {first[budget]} and {f} both sample "
+                              f"{budget} of {n} nodes")
     cells = {}
     for tech in cfg.techniques:
         rng = random.Random(derive_seed(cfg.seed, replica, tech.tag))
@@ -652,8 +658,6 @@ def _fmt_cell(v: object) -> str:
     """A cell's CSV text: None (a value the row does not have) is the empty cell."""
     if v is None:
         return ""
-    if isinstance(v, bool):
-        return str(int(v))
     if isinstance(v, float):
         return f"{v:.12g}"
     return str(v)

@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, repeat
 from typing import Sequence
 
-from .graph import DegreeDistribution, Graph, assortativity
+from .graph import DegreeDistribution, Graph, _pearson, assortativity
 
 
 def degree_sequence_from_distribution(d: DegreeDistribution, n: int) -> list[int]:
@@ -95,36 +96,21 @@ def rewire_to_assortativity(g: Graph, target_r: float, rng: random.Random,
         raise ValueError(f"tolerance must be >= 0, got {tolerance!r}")
     if g.edge_count < 2:
         raise ValueError("need at least two edges to rewire")
-    r0 = assortativity(g)
-    if r0 is None:
+    pearson = _pearson(g)
+    if pearson is None:
         raise ValueError("assortativity undefined on this graph (zero degree variance)")
+    # only the cross sum s11 moves under degree-preserving swaps
+    r_of, s11 = pearson
+    r0 = r_of(s11)
     if abs(r0 - target_r) <= tolerance:
         return RewireResult(g, r0, 0, 0, True)
     if max_steps is None:
         max_steps = 100 * g.edge_count
 
-    edges = [list(e) for e in g.edges()]
-    counts: dict[tuple[int, int], int] = {}
-    for u, v in edges:
-        key = (u, v) if u <= v else (v, u)
-        counts[key] = counts.get(key, 0) + 1
-
-    # Pearson r over edge endpoints, both orientations per edge. Only the
-    # cross term sum k_u*k_v moves under degree-preserving swaps; the
-    # marginal sums are functions of the degree multiset alone.
+    edges = list(g.edges())
+    counts = Counter(edges)
     deg = g.degrees()
-    m = 2 * g.edge_count
-    s1 = sum(k * k for k in deg)
-    s2 = sum(k ** 3 for k in deg)
-    mean = s1 / m
-    var = s2 / m - mean * mean
-    s11 = 2.0 * sum(deg[u] * deg[v] for u, v in edges)
-
-    def r_of(cross: float) -> float:
-        return (cross / m - mean * mean) / var
-
-    cur = r_of(s11)
-    gap = abs(cur - target_r)
+    gap = abs(r0 - target_r)
     accepted = 0
     proposals = 0
     ecount = len(edges)
@@ -152,24 +138,19 @@ def rewire_to_assortativity(g: Graph, target_r: float, rng: random.Random,
         new_r = r_of(s11 + delta)
         if abs(new_r - target_r) >= gap:
             continue
-        old1 = (a, b) if a <= b else (b, a)
-        old2 = (c, d) if c <= d else (d, c)
-        for key in (old1, old2):
-            counts[key] -= 1
-            if not counts[key]:
-                del counts[key]
-        for key in (k1, k2):
-            counts[key] = counts.get(key, 0) + 1
-        edges[i] = [a, d]
-        edges[j] = [c, b]
+        counts[(a, b) if a <= b else (b, a)] -= 1
+        counts[(c, d) if c <= d else (d, c)] -= 1
+        counts[k1] += 1
+        counts[k2] += 1
+        edges[i] = (a, d)
+        edges[j] = (c, b)
         s11 += delta
-        cur = new_r
-        gap = abs(cur - target_r)
+        gap = abs(new_r - target_r)
         accepted += 1
 
     if accepted == 0:                # so r0 is still beyond tolerance
         return RewireResult(g, r0, 0, proposals, False)
-    out = Graph.from_edges(g.node_count, [tuple(e) for e in edges], g.labels)
+    out = Graph.from_edges(g.node_count, edges, g.labels)
     achieved = assortativity(out)
     assert achieved is not None
     return RewireResult(out, achieved, accepted, proposals,

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from collections import Counter
-from typing import IO, Iterable, Iterator, KeysView, Mapping, Sequence
+from typing import IO, Callable, Iterable, Iterator, KeysView, Mapping, Sequence
 
 
 class GraphFormatError(ValueError):
@@ -158,6 +158,18 @@ def assortativity(g: Graph) -> float | None:
     so the two marginals coincide. Returns None when the endpoint-degree
     variance is zero (e.g. regular graphs), where the correlation is undefined.
     """
+    pearson = _pearson(g)
+    if pearson is None:
+        return None
+    r_of, s11 = pearson
+    return r_of(s11)
+
+
+def _pearson(g: Graph) -> tuple[Callable[[float], float], int] | None:
+    """(r_of, s11): assortativity as a function r_of of the cross sum
+    s11 = sum of k_u * k_v over both orientations of every edge, and g's s11;
+    None where r is undefined. The marginal sums depend on the degrees alone, so
+    r_of serves every graph with g's degrees, such as a degree-preserving rewiring."""
     if g.edge_count == 0:
         return None
     deg = g.degrees()
@@ -171,7 +183,7 @@ def assortativity(g: Graph) -> float | None:
     var = s2 / m - mean * mean
     if var <= 1e-15 * max(1.0, mean * mean):
         return None
-    return (s11 / m - mean * mean) / var
+    return lambda cross: (cross / m - mean * mean) / var, s11
 
 
 def ball(g: Graph, center: int, radius: int) -> KeysView[int]:

@@ -394,18 +394,51 @@ def test_exact_unbiasedness_nonuniform_seed_probs():
             assert mean == pytest.approx(truth, rel=1e-9), scheme.variant
 
 
-def test_half_radius_reads_stay_inside_sample():
-    # structural guarantee: every value read lies within the observed ball
+class _ReadLog(list):
+    """x that records every index read."""
+
+    def __init__(self, values, reads):
+        super().__init__(values)
+        self.reads = reads
+
+    def __getitem__(self, i):
+        self.reads.append(i)
+        return super().__getitem__(i)
+
+
+def test_half_radius_reads_stay_inside_sample(monkeypatch):
+    # in sample_only mode every ball the estimator draws, and every x it reads, lies
+    # inside the observed sample B_depth(seed): a ball B_r(center) does when
+    # dist(seed, center) + r <= depth, by the triangle inequality
+    calls = []
+
+    def logged_ball(g, center, radius):
+        calls.append((center, radius))
+        return ball(g, center, radius)
+
+    monkeypatch.setattr(crawlbias.estimators, "ball", logged_ball)
     rng = random.Random(55)
     for _ in range(30):
         g = _random_graph(rng)
         n = g.node_count
-        x = [1.0] * n
         seed = rng.randrange(n)
-        scheme = NeighborhoodScheme("half_radius", 3)
-        rep = arbitrary_topology_estimate(g, x, seed, scheme)
-        half_ball = ball(g, seed, 1)
-        assert rep.total >= sum(1.0 / n * len(half_ball) for _ in range(1)) > 0
+        for depth in (1, 2, 3, 4):
+            dist = {}
+            for r in range(depth, -1, -1):
+                dist.update(dict.fromkeys(ball(g, seed, r), r))
+            other = rng.choice([v for v in range(n) if v != seed])
+            for scheme in (NeighborhoodScheme("trivial", depth),
+                           NeighborhoodScheme("extreme", depth, special=seed),
+                           NeighborhoodScheme("extreme", depth, special=other),
+                           NeighborhoodScheme("half_radius", depth)):
+                calls.clear()
+                reads = []
+                x = _ReadLog([rng.uniform(0.5, 4.0) for _ in range(n)], reads)
+                arbitrary_topology_estimate(g, x, seed, scheme, "sample_only")
+                assert reads, scheme
+                assert all(v in dist for v in reads), scheme
+                assert all(c in dist and dist[c] + r <= depth for c, r in calls), scheme
+            assert calls  # the half-radius weights draw balls
 
 
 def test_rmse_compare_perfect_estimator_zero_rmse():

@@ -12,10 +12,10 @@ from pathlib import Path
 
 import pytest
 
-from crawlbias import (FIFO, DegreeDistribution, assign_stub_indices, assortativity,
-                       bfs_correct, cli, configuration_model, degree_distribution,
+from crawlbias import (FIFO, ConvergenceError, DegreeDistribution, assign_stub_indices,
+                       assortativity, bfs_correct, cli, configuration_model, degree_distribution,
                        degree_sequence_from_distribution, exact_step_distribution,
-                       largest_component_nodes, load_edge_list, mean_q_of_f,
+                       largest_component_nodes, load_edge_list, mean_q_of_f, rmse_compare,
                        stub_level_traversal, trace_from_csv)
 from crawlbias.experiments import (BIAS_COLUMNS, CORRECTION_COLUMNS, MODES, SWEEP_COLUMNS,
                                    TECHNIQUES, ConfigError, ExperimentConfig, GraphSource,
@@ -417,13 +417,28 @@ def test_unreachable_coverage_fails_before_any_replica_runs(monkeypatch):
     for run, cfg in ((run_bias_curves, bias), (run_assortativity_sweep, sweep)):
         with pytest.raises(ValueError, match=r"coverage 0\.9 outside reachable range"):
             run(cfg)
+    # walks take a level of the law as their reference, not the curve, so they run there
+    monkeypatch.undo()
+    walks = run_bias_curves(replace(bias, techniques=[TechniqueSpec("rw"), TechniqueSpec("mhrw")]))
+    assert [(r["technique"], r["f"]) for r in walks] == [("rw", 0.5), ("rw", 0.9),
+                                                         ("mhrw", 0.5), ("mhrw", 0.9)]
+    assert all(r["analytic_mean"] == r["rw_mean" if r["technique"] == "rw" else "true_mean"]
+               for r in walks)
 
 
-def test_run_compare_rows():
+def test_run_compare_rows(tmp_path):
     cfg = _bias_cfg(techniques=[], mode="compare", replicas=6)
     rows = run_compare(cfg)
     methods = {r["method"] for r in rows}
     assert methods == {"arb-half_radius", "bfs-corrected"}
+    # a file source is compared on the loaded file, with degrees as x
+    edge_file = tmp_path / "g.txt"
+    g = cfg.source.build(random.Random(derive_seed(cfg.seed, 0, "graph")))[0]
+    edge_file.write_text("".join(f"{u} {v}\n" for u, v in g.edges()))
+    on_file = run_compare(replace(cfg, source=GraphSource("file", path=str(edge_file))))
+    loaded = load_edge_list(str(edge_file))
+    assert on_file == rmse_compare(loaded, [float(k) for k in loaded.degrees()], 6,
+                                   random.Random(derive_seed(cfg.seed, 0, "compare")), depth=2)
 
 
 def test_run_assortativity_sweep_rows():
@@ -432,9 +447,14 @@ def test_run_assortativity_sweep_rows():
         f_grid=[0.1],
         replicas=3,
         mode="assortativity",
-        assortativity_targets=[-0.25, 0.0, 0.25],
+        assortativity_targets=[-0.25, 0.0, 0.25, -0.5],
     )
     rows = run_assortativity_sweep(cfg)
+    # swaps stop this graph near r = -0.33: the missed target gets one row, no curve rows
+    missed = rows.pop()
+    assert missed["target_r"] == -0.5 and missed["rewire_ok"] == 0
+    assert set(missed) == {"target_r", "achieved_r", "rewire_ok"}
+    assert abs(missed["achieved_r"] + 0.5) > 0.02
     by_target = {}
     for r in rows:
         assert set(SWEEP_COLUMNS) <= set(r)
@@ -535,21 +555,21 @@ def test_cli_generate_stats_sample_correct(tmp_path):
                      "--rng-seed", "3", "--out", str(edge_file)]) == 0
     stats_file = tmp_path / "stats.csv"
     assert _run_cli(["stats", str(edge_file), "--out", str(stats_file)]) == 0
-    row = next(csv.DictReader(open(stats_file)))
+    row = next(csv.DictReader(stats_file.read_text().splitlines()))
     assert row["nodes"] == "300"
     assert float(row["mean_degree"]) == pytest.approx(4.0, rel=0.05)
 
     trace_file = tmp_path / "trace.csv"
     assert _run_cli(["sample", "--edgelist", str(edge_file), "--technique", "bfs",
                      "--budget", "60", "--rng-seed", "5", "--out", str(trace_file)]) == 0
-    lines = open(trace_file).read().splitlines()
+    lines = trace_file.read_text().splitlines()
     assert lines[0].startswith("#")
     assert len(lines) == 62  # metadata + header + 60 records
 
     out_file = tmp_path / "corr.csv"
     assert _run_cli(["correct", "--trace", str(trace_file), "--method", "bfs",
                      "--out", str(out_file)]) == 0
-    row = next(csv.DictReader(open(out_file)))
+    row = next(csv.DictReader(out_file.read_text().splitlines()))
     assert row["method"] == "bfs-corrected"
     assert float(row["corrected_mean"]) < float(row["sampled_mean"])
 
@@ -560,9 +580,9 @@ def test_cli_generate_header_states_the_rewired_r(tmp_path):
     plain, rewired = tmp_path / "plain.txt", tmp_path / "rewired.txt"
     args = ["generate", "--pk", "bimodal:2:6:0.5", "--nodes", "300", "--rng-seed", "3"]
     assert _run_cli([*args, "--out", str(plain)]) == 0
-    assert open(plain).readline() == "# pk bimodal:2:6:0.5 nodes 300 rng_seed 3\n"
+    assert plain.read_text().split("\n", 1)[0] == "# pk bimodal:2:6:0.5 nodes 300 rng_seed 3"
     assert _run_cli([*args, "--assortativity", "-0.2", "--out", str(rewired)]) == 0
-    words = open(rewired).readline().split()
+    words = rewired.read_text().split("\n", 1)[0].split()
     assert words[:9] == ["#", "pk", "bimodal:2:6:0.5", "nodes", "300", "rng_seed", "3",
                          "target_r", "-0.2"]
     assert words[9] == "achieved_r" and len(words) == 11
@@ -596,7 +616,8 @@ def test_cli_sample_from_pk(tmp_path):
     trace_file = tmp_path / "t.csv"
     assert _run_cli(["sample", "--pk", "regular:3", "--nodes", "40", "--technique", "rw",
                      "--budget", "25", "--rng-seed", "1", "--out", str(trace_file)]) == 0
-    body = [l for l in open(trace_file) if not l.startswith(("#", "position"))]
+    body = [l for l in trace_file.read_text().splitlines()
+            if not l.startswith(("#", "position"))]
     assert len(body) == 25
 
 
@@ -607,7 +628,7 @@ def test_cli_sample_seed_node_is_a_file_id(tmp_path, capsys):
         trace_file = tmp_path / f"{technique}.csv"
         assert _run_cli(["sample", "--edgelist", str(edge_file), "--technique", technique,
                          "--budget", "5", "--seed-node", "12", "--out", str(trace_file)]) == 0
-        lines = open(trace_file).read().splitlines()
+        lines = trace_file.read_text().splitlines()
         assert "seed_node=12" in lines[0].split()
         assert lines[2].split(",")[1] == "12"
     assert _run_cli(["sample", "--edgelist", str(edge_file), "--technique", "bfs",
@@ -642,7 +663,7 @@ def test_cli_curves_bias_deterministic(tmp_path):
         '# config {"f_grid": [0.25, 0.75], "graph": {"generate": {"assortativity": null, '
         '"nodes": 200, "pk": "bimodal:2:6:0.5"}}, "mode": "bias", "replicas": 3, "seed": 21, '
         '"techniques": ["bfs", "wwor"]}')
-    rows = [r for r in csv.DictReader(l for l in open(out1) if not l.startswith("#"))]
+    rows = list(csv.DictReader(l for l in out1.read_text().splitlines() if not l.startswith("#")))
     assert len(rows) == 4
     assert {r["technique"] for r in rows} == {"bfs", "wwor"}
 
@@ -656,11 +677,20 @@ def test_cli_curves_analytic_mode(tmp_path):
     }))
     out = tmp_path / "an.csv"
     assert _run_cli(["curves", "--config", str(cfg), "--out", str(out)]) == 0
-    row = next(csv.DictReader(l for l in open(out) if not l.startswith("#")))
+    row = next(csv.DictReader(l for l in out.read_text().splitlines() if not l.startswith("#")))
     assert float(row["mean_q"]) == pytest.approx(25 / 11, abs=1e-6)
     assert float(row["t"]) == pytest.approx(0.5, abs=1e-6)
     q = json.loads(row["q_k_json"])
     assert q["1"] == pytest.approx(4 / 11, abs=1e-9)
+    # a file source gives its own degrees: 1, 2, 2 and 3 here
+    edge_file = tmp_path / "g.txt"
+    edge_file.write_text("0 1\n1 2\n2 0\n0 3\n")
+    cfg.write_text(json.dumps({"graph": {"file": str(edge_file)}, "f_grid": [0.5],
+                               "mode": "analytic"}))
+    assert _run_cli(["curves", "--config", str(cfg), "--out", str(out)]) == 0
+    row = next(csv.DictReader(l for l in out.read_text().splitlines() if not l.startswith("#")))
+    law = DegreeDistribution({1: 0.25, 2: 0.5, 3: 0.25})
+    assert float(row["mean_q"]) == pytest.approx(mean_q_of_f(law, 0.5), abs=1e-11)
 
 
 def test_cli_curves_json_pk_object(tmp_path):
@@ -674,7 +704,8 @@ def test_cli_curves_json_pk_object(tmp_path):
         }))
         out = tmp_path / f"{mode}.csv"
         assert _run_cli(["curves", "--config", str(cfg), "--out", str(out)]) == 0
-        row = next(csv.DictReader(l for l in open(out) if not l.startswith("#")))
+        row = next(csv.DictReader(l for l in out.read_text().splitlines()
+                                  if not l.startswith("#")))
         # 200 nodes realize the two classes exactly, so both laws agree here
         assert float(row[column]) == pytest.approx(mean_q_of_f(parse_pk_spec(pk), 0.5))
 
@@ -717,6 +748,15 @@ def test_cli_correct_bfs_without_coverage_asks_for_f(tmp_path, capsys):
     assert "--f" in capsys.readouterr().err
     assert _run_cli(["correct", "--trace", str(trace_file), "--method", "bfs",
                      "--f", "0.5", "--out", str(tmp_path / "c.csv")]) == 0
+    # on a trace with x, sampled_mean is the plain mean of the x it corrects, not of the degrees
+    trace_file.write_text("position,node,degree,x_value\n0,0,3,10\n1,1,1,20\n2,2,2,30\n")
+    out = tmp_path / "x.csv"
+    assert _run_cli(["correct", "--trace", str(trace_file), "--method", "bfs",
+                     "--f", "0.5", "--out", str(out)]) == 0
+    row = next(csv.DictReader(out.read_text().splitlines()))
+    assert float(row["sampled_mean"]) == 20.0
+    assert float(row["corrected_mean"]) == pytest.approx(
+        bfs_correct(trace_from_csv(str(trace_file)), 0.5).mean, rel=1e-11)
 
 
 def test_cli_compare_mode(tmp_path):
@@ -733,11 +773,11 @@ def test_cli_compare_mode(tmp_path):
     meta = out.read_text().splitlines()[0]
     assert json.loads(meta[len("# config "):])["depth"] == 3
     methods = [r["method"] for r in
-               csv.DictReader(l for l in open(out) if not l.startswith("#"))]
+               csv.DictReader(l for l in out.read_text().splitlines() if not l.startswith("#"))]
     assert "arb-half_radius" in methods and "bfs-corrected" in methods
 
 
-def test_cli_exit_codes(tmp_path, capsys):
+def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
     assert _run_cli(["stats", str(tmp_path / "missing.txt")]) == 2
     bad = tmp_path / "bad.json"
     bad.write_text("not json")
@@ -854,6 +894,25 @@ def test_cli_exit_codes(tmp_path, capsys):
                                "mode": "compare", "depth": 0}))
     assert _run_cli(["compare", "--config", str(bad)]) == 2
     assert "depth must be >= 1" in capsys.readouterr().err
+    # coverages that round to one budget would sample one prefix twice, in every mode
+    # that samples a grid (the sweep at its unrewired target, here)
+    shared = {"graph": {"generate": {"pk": "powerlaw:2.5:2:50", "nodes": 500}},
+              "f_grid": [0.2, 0.2000000001, 0.201], "replicas": 2, "workers": 2}
+    for mode, extra in (("bias", {"techniques": ["bfs"]}), ("correction", {}),
+                        ("assortativity", {"techniques": ["bfs"],
+                                           "assortativity_targets": [0.0]})):
+        bad.write_text(json.dumps({**shared, **extra, "mode": mode}))
+        assert _run_cli(["curves", "--config", str(bad)]) == 2
+        assert capsys.readouterr().err == (
+            "error: f_grid values 0.2 and 0.2000000001 both sample 100 of 500 nodes\n")
+    # a correction that does not converge exits 3 and says how far it got
+    def no_convergence(trace, f_real):
+        raise ConvergenceError("no bracket", 7, 0.25)
+
+    monkeypatch.setattr(cli, "bfs_correct", no_convergence)
+    assert _run_cli(["correct", "--trace", str(trace_file), "--method", "bfs", "--f", "0.5"]) == 3
+    assert capsys.readouterr().err == (
+        "error: correction did not converge after 7 iterations (residual 0.25)\n")
 
 
 # Which config keys each mode reads, written out here rather than read from
@@ -946,7 +1005,7 @@ def test_cli_trace_metadata_carries_coverage(tmp_path):
     # correction works off the recorded coverage without an explicit --f
     out = tmp_path / "c.csv"
     assert _run_cli(["correct", "--trace", str(trace_file), "--out", str(out)]) == 0
-    row = next(csv.DictReader(open(out)))
+    row = next(csv.DictReader(out.read_text().splitlines()))
     assert float(row["corrected_mean"]) == pytest.approx(4.0, rel=1e-6)
     assert not math.isnan(float(row["t_value"]))
 
