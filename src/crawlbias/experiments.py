@@ -16,7 +16,7 @@ from .estimators import ConvergenceError, bfs_correct, rmse_compare, rw_correct
 from .generate import (_TOLERANCE, configuration_model, degree_sequence_from_distribution,
                        rewire_to_assortativity)
 from .graph import (DegreeDistribution, Graph, assortativity, degree_distribution,
-                    largest_component_nodes, load_edge_list)
+                    induced_subgraph, largest_component_nodes, load_edge_list)
 from .samplers import (SampleTrace, _check_start, _make_trace, bfs, dfs, forest_fire, mhrw,
                        random_walk, snowball, weighted_without_replacement)
 
@@ -186,11 +186,11 @@ class GraphSource:
         else:
             raise ConfigError(f"unknown graph source {self.kind!r}")
 
-    def build(self, rng: random.Random) -> tuple[Graph, float | None]:
-        """The file with the default cleanup, or a configuration-model graph on
-        the rounded degree sequence of pk, rewired to target_assortativity when set;
-        and the r its rewiring reached (None when not rewired). A rewiring that
-        misses its target raises ConfigError, naming the r it reached."""
+    def build(self, rng: random.Random | None) -> tuple[Graph, float | None]:
+        """The file with the default cleanup (a file draws nothing: rng None), or a
+        configuration-model graph on the rounded degree sequence of pk, rewired to
+        target_assortativity when set; and the r its rewiring reached (None when not
+        rewired). A rewiring that misses its target raises ConfigError, naming that r."""
         if self.kind == "file":
             return load_edge_list(self.path), None
         g = configuration_model(degree_sequence_from_distribution(self.law, self.nodes), rng)
@@ -375,7 +375,8 @@ def run_technique(g: Graph, component: Sequence[int], tech: TechniqueSpec,
 # A set-up is a graph plus its sorted largest component, where crawls start. A
 # file source has one set-up, shared by every replica; the loader keeps only
 # the largest component, so it is the whole graph. A generated source has none
-# shared, and each replica builds its graph from its own "graph" seed.
+# shared, and each replica builds its graph from its own "graph" seed. Every
+# graph and law a mode uses comes from the three functions below.
 
 Setup = tuple[Graph, list[int]]
 
@@ -387,7 +388,7 @@ def _setup(g: Graph) -> Setup:
 def _shared_setup(cfg: ExperimentConfig) -> Setup | None:
     if cfg.source.kind != "file":
         return None
-    g = load_edge_list(cfg.source.path)
+    g = cfg.source.build(None)[0]
     return g, list(range(g.node_count))
 
 
@@ -403,7 +404,7 @@ def _reference_law(cfg: ExperimentConfig, shared: Setup | None) -> DegreeDistrib
     A generated graph follows the rounded degree sequence of pk (rewiring keeps
     every degree), not the continuous pk; a file graph follows its own degrees.
     """
-    if cfg.source.kind == "file":
+    if shared is not None:
         return degree_distribution(shared[0])
     return DegreeDistribution.from_sequence(
         degree_sequence_from_distribution(cfg.source.law, cfg.source.nodes))
@@ -454,11 +455,12 @@ def _map_replicas(fn: Callable, cfg: ExperimentConfig, shared: Setup | None) -> 
     return [future.result() for future in futures]
 
 
-def _replica_cells(cell: Callable[[SampleTrace, int, int], object], cfg: ExperimentConfig,
+def _replica_cells(cell: Callable[[SampleTrace, int, int, int], object], cfg: ExperimentConfig,
                    replica: int, shared: Setup | None) -> dict[str, list]:
-    """Per technique tag, cell(trace, n, budget) at each f's budget. trace is the
-    technique's one run to the largest budget: its sample at f is the trace's prefix.
-    Coverages that share a budget would sample the same prefix, so they are refused."""
+    """Per technique tag, cell(trace, k, n, budget) at each f's budget. trace is the
+    technique's one run to the largest budget: its sample at f is the trace's prefix
+    of k = min(budget, len(trace)) records. Coverages that share a budget would sample
+    the same prefix, so they are refused."""
     g, component = _replica_setup(cfg, replica, shared)
     n = g.node_count
     budgets = [max(1, round(f * n)) for f in cfg.f_grid]
@@ -471,13 +473,12 @@ def _replica_cells(cell: Callable[[SampleTrace, int, int], object], cfg: Experim
     for tech in cfg.techniques:
         rng = random.Random(derive_seed(cfg.seed, replica, tech.tag))
         trace = run_technique(g, component, tech, max(budgets), rng)
-        cells[tech.tag] = [cell(trace, n, budget) for budget in budgets]
+        cells[tech.tag] = [cell(trace, min(budget, len(trace)), n, budget) for budget in budgets]
     return cells
 
 
-def _mean_cell(trace: SampleTrace, n: int, budget: int) -> tuple[float, bool]:
+def _mean_cell(trace: SampleTrace, k: int, n: int, budget: int) -> tuple[float, bool]:
     """(mean sampled degree of the prefix, whether the trace fell short of budget)."""
-    k = min(budget, len(trace.degrees))
     return sum(trace.degrees[:k]) / k, k < budget
 
 
@@ -532,17 +533,17 @@ def run_bias_curves(cfg: ExperimentConfig) -> list[dict[str, object]]:
     return _bias_rows(cfg, shared, law, _curve(cfg, law))
 
 
-def _correction_cell(trace: SampleTrace, n: int, budget: int) -> dict[str, object]:
-    """The sampled and corrected mean degree of the prefix of k = min(budget, len(trace))
-    nodes: rw_correct, and bfs_correct at its coverage f_real = k / n."""
-    k = min(budget, len(trace.nodes))
+def _correction_cell(trace: SampleTrace, k: int, n: int, budget: int) -> dict[str, object]:
+    """The sampled mean degree of the prefix, as _mean_cell gives it, and its corrected
+    mean degree: rw_correct, and bfs_correct at its coverage f_real = k / n."""
     prefix = replace(trace, nodes=trace.nodes[:k], degrees=trace.degrees[:k], coverage=k / n)
     try:
         rep = bfs_correct(prefix, k / n)
         corrected, converged, iterations, residual = rep.mean, 1, rep.iterations, rep.residual
     except ConvergenceError as exc:            # recorded, not fatal
         corrected, converged, iterations, residual = None, 0, exc.iterations, exc.residual
-    return {"sampled_mean": sum(prefix.degrees) / k, "rw_corrected": rw_correct(prefix).mean,
+    return {"sampled_mean": _mean_cell(trace, k, n, budget)[0],
+            "rw_corrected": rw_correct(prefix).mean,
             "bfs_corrected": corrected, "converged": converged, "iterations": iterations,
             "residual": residual}
 
@@ -585,21 +586,21 @@ def _avg(rows: Sequence[Mapping[str, object]], key: str) -> float:
 
 
 def run_compare(cfg: ExperimentConfig) -> list[dict[str, object]]:
-    """Neighborhood estimator vs coverage-corrected traversal at equal sample
-    sizes, on a fully known graph."""
-    g = cfg.source.build(random.Random(derive_seed(cfg.seed, 0, "graph")))[0]
+    """Neighborhood estimator vs coverage-corrected traversal at equal sample sizes, on
+    replica 0's largest component, where crawls start (a file's whole graph)."""
+    g, component = _replica_setup(cfg, 0, _shared_setup(cfg))
+    if len(component) < g.node_count:
+        g = induced_subgraph(g, component)
     x = [float(k) for k in g.degrees()]
     cmp_rng = random.Random(derive_seed(cfg.seed, 0, "compare"))
     return rmse_compare(g, x, cfg.replicas, cmp_rng, depth=cfg.depth)
 
 
 def run_analytic(cfg: ExperimentConfig) -> list[dict[str, object]]:
-    """The predicted sampled degree at each coverage. Nothing is simulated, so
-    a generated source keeps its continuous pk and a file gives its own degrees."""
-    if cfg.source.kind == "file":
-        return analytic.curve_rows(degree_distribution(load_edge_list(cfg.source.path)),
-                                   cfg.f_grid)
-    return analytic.curve_rows(cfg.source.law, cfg.f_grid)
+    """The predicted sampled degree at each coverage, for the reference law the
+    other modes use: a generated source's rounded degree sequence, or a file's
+    own degrees."""
+    return analytic.curve_rows(_reference_law(cfg, _shared_setup(cfg)), cfg.f_grid)
 
 
 def _target_tag(target: float) -> str:
@@ -621,23 +622,23 @@ def run_assortativity_sweep(cfg: ExperimentConfig) -> list[dict[str, object]]:
     law = _reference_law(cfg, None)
     curve = _curve(cfg, law)
     # the sweep rewires to its own targets only, so a source's target is not applied
-    unrewired = replace(cfg.source, target_assortativity=None)
-    base = unrewired.build(random.Random(derive_seed(cfg.seed, 0, "graph")))[0]
+    base = _replica_setup(replace(cfg, source=replace(cfg.source, target_assortativity=None)),
+                          0, None)
     rows: list[dict[str, object]] = []
     for target in cfg.assortativity_targets:
         if target == 0.0:
-            r = assortativity(base)
-            g, achieved, ok = base, float("nan") if r is None else r, True
+            r = assortativity(base[0])
+            g, achieved, ok = base[0], float("nan") if r is None else r, True
         else:
             rng = random.Random(derive_seed(cfg.seed, 0, f"rewire:{_target_tag(target)}"))
-            result = rewire_to_assortativity(base, target, rng)
+            result = rewire_to_assortativity(base[0], target, rng)
             g, achieved, ok = result.graph, result.achieved_r, result.reached
         rewire = {"target_r": target, "achieved_r": achieved, "rewire_ok": int(ok)}
         if not ok:
             rows.append(rewire)
             continue
         sub = replace(cfg, seed=derive_seed(cfg.seed, 0, f"sweep:{_target_tag(target)}"))
-        for row in _bias_rows(sub, _setup(g), law, curve):
+        for row in _bias_rows(sub, base if g is base[0] else _setup(g), law, curve):
             row.update(rewire)
             rows.append(row)
     return rows

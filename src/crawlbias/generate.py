@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from itertools import chain, repeat
 from typing import Sequence
 
-from .graph import DegreeDistribution, Graph, _pearson, assortativity
+from .graph import DegreeDistribution, Graph, _pearson
 
 
 def degree_sequence_from_distribution(d: DegreeDistribution, n: int) -> list[int]:
@@ -16,7 +16,8 @@ def degree_sequence_from_distribution(d: DegreeDistribution, n: int) -> list[int
 
     If the resulting stub total is odd, one node from the class with the
     largest remaining rounding deficit gets its degree incremented by one so
-    the sequence stays realizable by stub matching.
+    the sequence stays realizable by stub matching. Raises ValueError when
+    every positive-degree class rounds to no node: such a graph has no edge.
     """
     if n < 1:
         raise ValueError("need at least one node")
@@ -26,6 +27,9 @@ def degree_sequence_from_distribution(d: DegreeDistribution, n: int) -> list[int
     by_remainder = sorted(exact, key=lambda k: (-(exact[k] - counts[k]), k))
     for k in by_remainder[:leftover]:
         counts[k] += 1
+    if not any(c for k, c in counts.items() if k > 0):
+        raise ValueError(f"degree law rounds to no edges at {n} nodes: every "
+                         f"positive-degree class rounds to 0 nodes")
 
     if sum(k * c for k, c in counts.items()) % 2:
         eligible = [k for k, c in counts.items() if c > 0]
@@ -99,18 +103,16 @@ def rewire_to_assortativity(g: Graph, target_r: float, rng: random.Random,
     pearson = _pearson(g)
     if pearson is None:
         raise ValueError("assortativity undefined on this graph (zero degree variance)")
-    # only the cross sum s11 moves under degree-preserving swaps
+    # only the cross sum s11 moves under degree-preserving swaps; it stays an exact
+    # integer, so r_of(s11) is the r of the graph the accepted swaps leave
     r_of, s11 = pearson
-    r0 = r_of(s11)
-    if abs(r0 - target_r) <= tolerance:
-        return RewireResult(g, r0, 0, 0, True)
     if max_steps is None:
         max_steps = 100 * g.edge_count
 
     edges = list(g.edges())
     counts = Counter(edges)
     deg = g.degrees()
-    gap = abs(r0 - target_r)
+    gap = abs(r_of(s11) - target_r)
     accepted = 0
     proposals = 0
     ecount = len(edges)
@@ -134,7 +136,7 @@ def rewire_to_assortativity(g: Graph, target_r: float, rng: random.Random,
         k2 = (c, b) if c <= b else (b, c)
         if k1 == k2 or counts.get(k1) or counts.get(k2):
             continue
-        delta = 2.0 * (deg[a] * deg[d] + deg[c] * deg[b] - deg[a] * deg[b] - deg[c] * deg[d])
+        delta = 2 * (deg[a] * deg[d] + deg[c] * deg[b] - deg[a] * deg[b] - deg[c] * deg[d])
         new_r = r_of(s11 + delta)
         if abs(new_r - target_r) >= gap:
             continue
@@ -148,10 +150,5 @@ def rewire_to_assortativity(g: Graph, target_r: float, rng: random.Random,
         gap = abs(new_r - target_r)
         accepted += 1
 
-    if accepted == 0:                # so r0 is still beyond tolerance
-        return RewireResult(g, r0, 0, proposals, False)
-    out = Graph.from_edges(g.node_count, edges, g.labels)
-    achieved = assortativity(out)
-    assert achieved is not None
-    return RewireResult(out, achieved, accepted, proposals,
-                        abs(achieved - target_r) <= tolerance)
+    return RewireResult(Graph.from_edges(g.node_count, edges, g.labels) if accepted else g,
+                        r_of(s11), accepted, proposals, gap <= tolerance)

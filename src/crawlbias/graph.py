@@ -146,8 +146,6 @@ def moments(d: DegreeDistribution) -> tuple[float, float]:
     sampler (random walks, early traversal), so it bounds the sampling bias.
     """
     mean = d.mean()
-    if mean <= 0:
-        raise ValueError("mean degree is zero")
     return mean, d.second_moment() / mean
 
 
@@ -165,7 +163,7 @@ def assortativity(g: Graph) -> float | None:
     return r_of(s11)
 
 
-def _pearson(g: Graph) -> tuple[Callable[[float], float], int] | None:
+def _pearson(g: Graph) -> tuple[Callable[[int], float], int] | None:
     """(r_of, s11): assortativity as a function r_of of the cross sum
     s11 = sum of k_u * k_v over both orientations of every edge, and g's s11;
     None where r is undefined. The marginal sums depend on the degrees alone, so

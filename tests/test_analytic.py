@@ -231,6 +231,10 @@ def test_step_rejects_unsupported_inputs():
         exact_step_distribution([1, 1], 3)     # more steps than nodes
     with pytest.raises(ValueError):
         exact_step_distribution(list(range(1, 14)), 3)  # beyond the size cap
+    with pytest.raises(ValueError, match="degrees must be nonnegative"):
+        exact_step_distribution([2, -1, 1], 1)
+    with pytest.raises(ValueError, match="degree sequence has no stubs"):
+        exact_step_distribution([0, 0], 1)
 
 
 def test_curve_rows_shape():

@@ -64,6 +64,10 @@ def test_rw_correct_rejects_bad_traces():
         rw_correct(_trace([2, 0, 3]))
     with pytest.raises(ValueError):
         rw_correct(_trace([]))
+    with pytest.raises(ValueError, match="empty trace"):
+        mhrw_correct(_trace([]))
+    with pytest.raises(ValueError, match="one value per trace record"):
+        rw_correct(_trace([2, 3]), x=[1.0])
 
 
 def test_rw_correct_degree_distribution():
@@ -207,6 +211,8 @@ def test_bfs_correct_rejects_bad_inputs():
         bfs_correct(_trace([2, 2]), 1.5)
     with pytest.raises(ValueError):
         bfs_correct(_trace([0, 2]), 0.5)
+    with pytest.raises(ValueError, match="empty trace"):
+        bfs_correct(_trace([]), 0.5)
 
 
 def test_convergence_error_carries_diagnostics():
@@ -320,6 +326,17 @@ def test_scheme_validation():
         NeighborhoodScheme("trivial", 2, seed_probs=(0.5, 0.6))
     with pytest.raises(ValueError):
         NeighborhoodScheme("trivial", 2, seed_probs=(1.5, -0.5))
+    # what a scheme is checked against when it meets a graph
+    for scheme, x, mode, message in (
+            (NeighborhoodScheme("trivial", 2, seed_probs=(0.5, 0.5)), DEGREES3, "sample_only",
+             "seed_probs length must equal the node count"),
+            (NeighborhoodScheme("trivial", 2), DEGREES3, "exact", "unknown mode 'exact'"),
+            (NeighborhoodScheme("trivial", 2), [1.0, 2.0], "sample_only",
+             "one value per node"),
+            (NeighborhoodScheme("extreme", 2, special=3), DEGREES3, "sample_only",
+             "unknown special node 3")):
+        with pytest.raises(ValueError, match=message):
+            arbitrary_topology_estimate(PATH3, x, 0, scheme, mode=mode)
 
 
 def test_extended_requires_oracle_mode():

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from crawlbias import (FIFO, ConvergenceError, DegreeDistribution, assign_stub_indices,
+from crawlbias import (FIFO, ConvergenceError, DegreeDistribution, Graph, assign_stub_indices,
                        assortativity, bfs_correct, cli, configuration_model, degree_distribution,
                        degree_sequence_from_distribution, exact_step_distribution,
                        largest_component_nodes, load_edge_list, mean_q_of_f, rmse_compare,
@@ -20,9 +20,9 @@ from crawlbias import (FIFO, ConvergenceError, DegreeDistribution, assign_stub_i
 from crawlbias.experiments import (BIAS_COLUMNS, CORRECTION_COLUMNS, MODES, SWEEP_COLUMNS,
                                    TECHNIQUES, ConfigError, ExperimentConfig, GraphSource,
                                    TechniqueSpec, derive_seed, parse_pk_spec,
-                                   run_assortativity_sweep, run_bias_curves, run_compare,
-                                   run_correction_eval, run_technique, truncated_power_law,
-                                   write_rows_csv)
+                                   run_analytic, run_assortativity_sweep, run_bias_curves,
+                                   run_compare, run_correction_eval, run_technique,
+                                   truncated_power_law, write_rows_csv)
 
 
 def test_derive_seed_is_stable_and_spread():
@@ -73,6 +73,8 @@ def test_technique_spec_tags_and_validation():
         TechniqueSpec("bfs", 0.3)                # bfs takes no parameter
     with pytest.raises(ConfigError):
         TechniqueSpec("teleport")
+    with pytest.raises(ConfigError, match="bad technique entry 5"):
+        TechniqueSpec.from_json(5)               # neither a name nor an object
     assert TechniqueSpec("ff", 1).tag == "ff:p=1"
     assert TechniqueSpec.from_json({"name": "ff", "p": 0.7}) == TechniqueSpec("ff", 0.7)
     assert TechniqueSpec.from_json({"name": "sbs", "names": 1000000}).tag == "sbs:n=1000000"
@@ -179,9 +181,17 @@ def test_config_from_json_and_validation():
         (sweep, "assortativity_targets", [0.1, 0.1000000001],
          "assortativity_targets names 0.1000000001 more than once"),
         (compare, "depth", 0, "depth must be >= 1"),
+        (doc, "workers", 0, "workers must be >= 1"),
     ):
         with pytest.raises(ConfigError, match=re.escape(message)):
             ExperimentConfig.from_json(dict(json.loads(json.dumps(base)), **{key: value}))
+    # a document, a graph.generate section or a pk of the wrong JSON type
+    for bad, message in (
+            ([doc], "config must be a JSON object"),
+            (dict(doc, graph={"generate": "regular:3"}), "graph.generate must be a JSON object"),
+            (dict(doc, graph={"generate": {"pk": 17, "nodes": 100}}), "bad pk entry 17")):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            ExperimentConfig.from_json(bad)
     # ... while an integer stands for a number and null for no rewiring
     ok = json.loads(json.dumps(doc))
     ok.update(f_grid=[1])
@@ -441,6 +451,40 @@ def test_run_compare_rows(tmp_path):
                                    random.Random(derive_seed(cfg.seed, 0, "compare")), depth=2)
 
 
+def test_compare_runs_on_the_largest_component(tmp_path):
+    # a tenth of these nodes have degree 0, outside the largest component, where the
+    # crawls of every mode start: compare draws its seeds there too, so no seed is an
+    # isolated node and both estimates are the component's mean degree, 3
+    cfg, out = tmp_path / "cfg.json", tmp_path / "cmp.csv"
+    cfg.write_text(json.dumps({"graph": {"generate": {"pk": {"0": 0.1, "3": 0.9},
+                                                      "nodes": 1000}},
+                               "mode": "compare", "replicas": 32, "seed": 1}))
+    assert _run_cli(["compare", "--config", str(cfg), "--out", str(out)]) == 0
+    rows = list(csv.DictReader(l for l in out.read_text().splitlines() if not l.startswith("#")))
+    assert [r["method"] for r in rows] == ["arb-half_radius", "bfs-corrected"]
+    assert [float(r["mean_estimate"]) for r in rows] == pytest.approx([3.0, 3.0], abs=1e-12)
+
+
+def test_analytic_mode_reports_the_law_bias_mode_references():
+    # nodes sets the rounded degree sequence every simulated mode references, so the
+    # analytic row at f is bias mode's analytic_mean for the same graph section
+    means = []
+    for nodes in (10, 10000):
+        source = GraphSource("generate", pk="powerlaw:2.5:2:100", nodes=nodes)
+        bias = _bias_cfg(source=source, techniques=[TechniqueSpec("bfs")], f_grid=[0.1],
+                         replicas=1)
+        [row] = run_analytic(replace(bias, mode="analytic"))
+        assert row["mean_q"] == run_bias_curves(bias)[0]["analytic_mean"]
+        means.append(row["mean_q"])
+    assert means == pytest.approx([3.7156, 9.3082], abs=1e-4)
+
+
+def test_wwor_refuses_a_graph_without_edges():
+    # no generated source or loaded file makes such a graph, but run_technique takes any
+    with pytest.raises(ValueError, match="graph has no edges to draw from"):
+        run_technique(Graph([[], []]), [0], TechniqueSpec("wwor"), 1, random.Random(0))
+
+
 def test_run_assortativity_sweep_rows():
     cfg = _bias_cfg(
         techniques=[TechniqueSpec("bfs")],
@@ -549,12 +593,15 @@ def _run_cli(args):
     return cli.main(args)
 
 
-def test_cli_generate_stats_sample_correct(tmp_path):
+def test_cli_generate_stats_sample_correct(tmp_path, capsys):
     edge_file = tmp_path / "g.txt"
     assert _run_cli(["generate", "--pk", "bimodal:2:6:0.5", "--nodes", "300",
                      "--rng-seed", "3", "--out", str(edge_file)]) == 0
     stats_file = tmp_path / "stats.csv"
     assert _run_cli(["stats", str(edge_file), "--out", str(stats_file)]) == 0
+    capsys.readouterr()
+    assert _run_cli(["stats", str(edge_file)]) == 0      # --out defaults to stdout, '-'
+    assert capsys.readouterr().out == stats_file.read_text()
     row = next(csv.DictReader(stats_file.read_text().splitlines()))
     assert row["nodes"] == "300"
     assert float(row["mean_degree"]) == pytest.approx(4.0, rel=0.05)
@@ -794,9 +841,24 @@ def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
     for extra in (["--budget", "0"], ["--budget", "4", "--seed-node", "500"]):
         assert _run_cli(["sample", "--pk", "regular:3", "--nodes", "20",
                          "--technique", "wwor", *extra]) == 2
-    # ... and a graph without edges, which has no first draw
+    # ... and a law that rounds to a graph without edges, which has no first draw
     assert _run_cli(["sample", "--pk", '{"0": 0.9, "2": 0.1}', "--nodes", "1",
                      "--technique", "wwor", "--budget", "1", "--seed-node", "0"]) == 2
+    assert "degree law rounds to no edges at 1 nodes" in capsys.readouterr().err
+    # such a law fails, naming the rounding, before generate, sample or a config
+    # builds a graph: 5% on degree 1 rounds to no node of 10
+    none_pk, rounds = {"0": 0.95, "1": 0.05}, "degree law rounds to no edges at 10 nodes"
+    none_file = tmp_path / "none.txt"
+    assert _run_cli(["generate", "--pk", json.dumps(none_pk), "--nodes", "10",
+                     "--out", str(none_file)]) == 2
+    assert rounds in capsys.readouterr().err and not none_file.exists()
+    assert _run_cli(["sample", "--pk", json.dumps(none_pk), "--nodes", "10",
+                     "--technique", "bfs", "--budget", "3"]) == 2
+    assert rounds in capsys.readouterr().err
+    bad.write_text(json.dumps({"graph": {"generate": {"pk": none_pk, "nodes": 10}},
+                               "techniques": ["bfs"], "f_grid": [0.5]}))
+    assert _run_cli(["curves", "--config", str(bad)]) == 2
+    assert rounds in capsys.readouterr().err
     # compare runs a compare config only, as curves runs no compare config
     bad.write_text(json.dumps({"graph": {"generate": {"pk": "regular:3", "nodes": 50}},
                                "techniques": ["bfs"], "f_grid": [0.5], "mode": "bias"}))

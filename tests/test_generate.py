@@ -39,6 +39,16 @@ def test_sequence_rounding_stays_close():
             assert abs(counts.get(k, 0) - p * n) <= 2
 
 
+def test_sequence_refuses_a_law_that_rounds_to_no_edges():
+    # 5% on degree 1 rounds to no node of 10: every node would get degree 0
+    d = DegreeDistribution({0: 0.95, 1: 0.05})
+    with pytest.raises(ValueError, match="rounds to no edges at 10 nodes"):
+        degree_sequence_from_distribution(d, 10)
+    assert sorted(degree_sequence_from_distribution(d, 40)) == [0] * 38 + [1, 1]
+    with pytest.raises(ValueError, match="need at least one node"):
+        degree_sequence_from_distribution(d, 0)
+
+
 def test_sequence_large_n_matches_distribution():
     d = DegreeDistribution({1: 0.2, 3: 0.5, 7: 0.3})
     n = 10000
@@ -109,7 +119,7 @@ def test_rewire_reaches_positive_and_negative_targets():
         assert sorted(res.graph.degrees()) == sorted(g.degrees())
         assert degree_distribution(res.graph) == degree_distribution(g)
         assert res.accepted > 0
-        assert res.achieved_r == pytest.approx(assortativity(res.graph))
+        assert res.achieved_r == assortativity(res.graph)  # the tracked r, exactly
 
 
 def test_rewire_noop_when_already_at_target():
@@ -137,6 +147,8 @@ def test_rewire_reached_says_whether_r_is_within_tolerance():
                 assert (res.achieved_r, res.accepted, res.proposals) == (r0, 0, 0)
             else:
                 assert res.proposals > 0
+            if res.accepted:
+                assert res.achieved_r == assortativity(res.graph)
             seen.add(res.reached)
     assert seen == {True, False}
 
@@ -145,6 +157,8 @@ def test_rewire_rejects_regular_graph():
     g = Graph.from_edges(3, [(0, 1), (1, 2), (2, 0)])
     with pytest.raises(ValueError):
         rewire_to_assortativity(g, 0.5, random.Random(0))
+    with pytest.raises(ValueError, match="need at least two edges"):
+        rewire_to_assortativity(Graph.from_edges(3, [(0, 1)]), 0.5, random.Random(0))
 
 
 def test_rewire_rejects_target_outside_unit_interval():

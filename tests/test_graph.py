@@ -38,6 +38,8 @@ def test_edges_roundtrip_multigraph():
 def test_odd_stub_total_rejected():
     with pytest.raises(ValueError):
         Graph([[1], []])  # one-sided entry: odd stub total
+    with pytest.raises(ValueError, match="labels length does not match node count"):
+        Graph([[1], [0]], labels=[7])
 
 
 def test_degree_distribution_triangle():
@@ -59,6 +61,10 @@ def test_distribution_validation():
         DegreeDistribution({-1: 1.0})
     with pytest.raises(ValueError):
         DegreeDistribution({0: 1.0})  # no positive-degree mass
+    with pytest.raises(ValueError, match="negative fraction for degree 1"):
+        DegreeDistribution({1: -0.5, 2: 1.5})
+    with pytest.raises(ValueError, match="distribution has no mass"):
+        DegreeDistribution({1: 0.0, 2: 0.0})
     d = DegreeDistribution({1: 2.0, 3: 2.0}, normalize=True)
     assert d.get(1) == pytest.approx(0.5)
 
@@ -99,6 +105,10 @@ def test_ball_on_path():
     assert ball(g, 1, 1) == {0, 1, 2}
     assert ball(g, 0, 0) == {0}
     assert ball(g, 0, 5) == {0, 1, 2}
+    with pytest.raises(ValueError, match="unknown node 3"):
+        ball(g, 3, 1)
+    with pytest.raises(ValueError, match="radius must be >= 0"):
+        ball(g, 0, -1)
 
 
 def test_components_and_induced_subgraph():
@@ -157,6 +167,9 @@ def test_load_edge_list_errors():
         load_edge_list(io.StringIO("a b\n"))
     with pytest.raises(ValueError):
         load_edge_list(io.StringIO("0 0\n"))  # empty after cleanup
+    for options in (None, RAW):  # a file of comments names no node at all
+        with pytest.raises(ValueError, match="empty graph after preprocessing"):
+            load_edge_list(io.StringIO("# only a comment\n\n"), options)
     # the first bad token of the first bad line wins, as in the reference loader
     for text, message in [
         ("0 1\n1 x\n", "line 2: non-integer node id 'x'"),

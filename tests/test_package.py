@@ -59,6 +59,32 @@ def test_cli_uses_only_public_names_of_the_package():
     assert private == []
 
 
+def test_every_graph_and_law_a_mode_uses_has_one_maker():
+    # GraphSource.build makes every graph, _shared_setup and _replica_setup hand it to
+    # the modes, and _reference_law makes every law they reference, so no mode can
+    # crawl one graph and reference the law of another
+    allowed = {"load_edge_list": {"GraphSource.build"},
+               "build": {"_shared_setup", "_replica_setup"},
+               "degree_distribution": {"_reference_law", "GraphSource.build"},
+               "degree_sequence_from_distribution": {"_reference_law", "GraphSource.build"}}
+    callers: dict[str, set[str]] = {name: set() for name in allowed}
+
+    def visit(node: ast.AST, scope: tuple[str, ...]) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = (*scope, node.name)
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name in callers and (name != "build" or isinstance(func, ast.Attribute)):
+                callers[name].add(".".join(scope))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse((PACKAGE_DIR / "experiments.py").read_text(encoding="utf-8")), ())
+    for name, where in callers.items():
+        assert where and where <= allowed[name], (name, sorted(where))
+
+
 def test_no_mode_is_compared_with_a_string():
     # a rule that depends on the mode follows from what MODES says the mode reads,
     # so a new mode cannot miss a rule written for one mode by name

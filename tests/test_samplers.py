@@ -270,8 +270,25 @@ def test_walks_from_an_isolated_node_raise_before_any_draw():
         state = rng.getstate()
         with pytest.raises(ValueError, match="isolated"):
             walk(g, 2, 5, rng)
+        for start, steps, message in ((3, 5, "unknown node 3"), (0, 0, "steps must be >= 1")):
+            with pytest.raises(ValueError, match=message):
+                walk(g, start, steps, rng)
         assert rng.getstate() == state
         assert walk(g, 2, 1, rng).nodes == [2]
+
+
+def test_traversal_and_draw_parameters_are_checked_before_any_draw():
+    rng = random.Random(0)
+    state = rng.getstate()
+    for run, message in (
+            (lambda: forest_fire(STAR, 0, 3, 0.0, rng), "spread probability must lie in"),
+            (lambda: forest_fire(STAR, 0, 3, 1.5, rng), "spread probability must lie in"),
+            (lambda: snowball(STAR, 0, 3, 0, rng), "names must be >= 1"),
+            (lambda: weighted_without_replacement([1, 2, 1], 4, rng), "budget must lie in"),
+            (lambda: weighted_without_replacement([1, 2, 1], -1, rng), "budget must lie in")):
+        with pytest.raises(ValueError, match=message):
+            run()
+    assert rng.getstate() == state
 
 
 def test_mhrw_acceptance_probabilities():
@@ -487,6 +504,17 @@ def test_stub_traversal_discipline_validation():
         randomized_fifo(1.5)
     with pytest.raises(ValueError):
         QueueDiscipline("priority")
+    # the scan's own inputs: a start, a budget, an even stub total, one index per
+    # stub, and an rng when stubs may burn out
+    odd = StubAssignment(((0.1, 0.9), (0.3,), (0.2, 0.7)))
+    for degrees, assignment, seed, discipline, budget, message in (
+            ([2, 2, 2], HAND_ASSIGNMENT, 3, FIFO, 2, "unknown node 3"),
+            ([2, 2, 2], HAND_ASSIGNMENT, 0, FIFO, 0, "budget must be >= 1"),
+            ([2, 1, 2], odd, 0, FIFO, 2, "odd stub total"),
+            ([2, 2, 1, 1], HAND_ASSIGNMENT, 0, FIFO, 2, "does not match the degree sequence"),
+            ([2, 2, 2], HAND_ASSIGNMENT, 0, randomized_fifo(0.5), 2, "needs an rng")):
+        with pytest.raises(ValueError, match=message):
+            stub_level_traversal(degrees, assignment, seed, discipline, budget)
 
 
 # --- trace serialization ------------------------------------------------------
