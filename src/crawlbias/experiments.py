@@ -96,8 +96,6 @@ def _draw(technique: str, start_first: bool, g: Graph, start: int, budget: int,
     nodes = weighted_without_replacement(g.degrees(), min(budget, g.node_count), rng)
     if start_first:
         nodes = [start, *(v for v in nodes if v != start)][:budget]
-    if not nodes:
-        raise ValueError("graph has no edges to draw from")
     return _make_trace(technique, g, nodes[0], nodes, False)
 
 
@@ -365,7 +363,10 @@ def load_config(path: str) -> ExperimentConfig:
 def run_technique(g: Graph, component: Sequence[int], tech: TechniqueSpec,
                   budget: int, rng: random.Random) -> SampleTrace:
     """One sampling run. The start is drawn uniformly from component first for every
-    technique, wwor too, which does not use it: seeded outputs depend on that draw."""
+    technique, wwor too, which does not use it: seeded outputs depend on that draw.
+    A graph without edges is refused before that draw, whatever the technique."""
+    if not g.edge_count:
+        raise ValueError("graph has no edges to draw from")
     start = component[rng.randrange(len(component))]
     return TECHNIQUES[tech.name].run(g, start, budget, tech.param, rng)
 
@@ -591,9 +592,8 @@ def run_compare(cfg: ExperimentConfig) -> list[dict[str, object]]:
     g, component = _replica_setup(cfg, 0, _shared_setup(cfg))
     if len(component) < g.node_count:
         g = induced_subgraph(g, component)
-    x = [float(k) for k in g.degrees()]
     cmp_rng = random.Random(derive_seed(cfg.seed, 0, "compare"))
-    return rmse_compare(g, x, cfg.replicas, cmp_rng, depth=cfg.depth)
+    return rmse_compare(g, g.degrees(), cfg.replicas, cmp_rng, depth=cfg.depth)
 
 
 def run_analytic(cfg: ExperimentConfig) -> list[dict[str, object]]:

@@ -109,10 +109,11 @@ def rewire_to_assortativity(g: Graph, target_r: float, rng: random.Random,
     if max_steps is None:
         max_steps = 100 * g.edge_count
 
-    edges = list(g.edges())
+    gap = abs(r_of(s11) - target_r)
+    # the O(m) edge table is built only when the loop below will propose
+    edges = list(g.edges()) if gap > tolerance and max_steps > 0 else []
     counts = Counter(edges)
     deg = g.degrees()
-    gap = abs(r_of(s11) - target_r)
     accepted = 0
     proposals = 0
     ecount = len(edges)

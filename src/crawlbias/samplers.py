@@ -1,7 +1,9 @@
 """Exploration techniques: traversals, random walks, degree-weighted draws,
 and the stub-level index-scan process that unifies them.
 
-All samplers return a SampleTrace: the ordered node records plus enough
+bfs, forest_fire and snowball run one FIFO crawl, _revivable: bfs is p = 1 with
+no referral cap, and the index that revives a dead fire is built at its first
+stall. All samplers return a SampleTrace: the ordered node records plus enough
 metadata for the estimators to undo the sampling bias later.
 """
 
@@ -10,7 +12,7 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, chain
 from typing import Callable, Sequence
 
 from .graph import Graph
@@ -137,23 +139,10 @@ def _make_trace(technique: str, g: Graph, seed: int, nodes: list[int],
 
 
 def bfs(g: Graph, seed: int, budget: int) -> SampleTrace:
-    """Breadth-first trace of min(budget, component size) distinct nodes."""
+    """Breadth-first trace of min(budget, component size) distinct nodes: the one
+    FIFO crawl with every edge spreading (p = 1) and no referral cap."""
     _check_start(g, seed, budget)
-    adj = g.adjacency
-    seen = bytearray(g.node_count)
-    seen[seed] = 1
-    order = [seed]
-    for u in order:  # order is the FIFO queue too: the loop reaches what is appended
-        if len(order) == budget:
-            break
-        for w in adj[u]:
-            if seen[w]:
-                continue
-            seen[w] = 1
-            order.append(w)
-            if len(order) == budget:
-                break
-    return _make_trace("bfs", g, seed, order, False)
+    return _revivable(g, seed, budget, None, "bfs")
 
 
 def dfs(g: Graph, seed: int, budget: int) -> SampleTrace:
@@ -173,26 +162,29 @@ def dfs(g: Graph, seed: int, budget: int) -> SampleTrace:
     return _make_trace("dfs", g, seed, order, False)
 
 
-def _revivable(g: Graph, seed: int, budget: int, rng: random.Random, technique: str,
+def _revivable(g: Graph, seed: int, budget: int, rng: random.Random | None, technique: str,
                p: float = 1.0, names: int = 0) -> SampleTrace:
-    """The one revivable traversal behind forest_fire and snowball.
+    """The one FIFO crawl, behind bfs, forest_fire and snowball: each expanded node
+    spreads along each of its adjacency entries, or names uniform ones, with
+    probability p. bfs is p = 1 with no referral cap (names = 0), and needs no rng.
 
-    A dead fire restarts from a uniform sampled node, in discovery order, that
-    still has an unseen neighbor; when none has one, the sample is the seed's
-    whole component. unseen[v] counts v's adjacency entries at unseen nodes and
-    a Fenwick tree over discovery positions marks the revivable nodes; both are
-    updated once per stall: O(m) in all, plus O(log n) per sampled node and per
-    revival.
+    The discovery list order is the queue. A dead fire restarts from a uniform
+    sampled node, in discovery order, that still has an unseen neighbor; it is
+    expanded first, then the queue resumes at the first node its fire discovers.
+    When none has one, the sample is the seed's whole component. The revival
+    index, built at the first stall (never for bfs, whose fire dies only with its
+    component), is unseen[v], v's adjacency entries at unseen nodes, and a Fenwick
+    tree over discovery positions that marks the revivable nodes. Both are updated
+    once per stall: O(n + m) in all, plus O(log n) per sampled node and per revival.
     """
     adj = g.adjacency
     n = g.node_count
     seen = bytearray(n)
     seen[seed] = 1
     order = [seed]
-    q = deque([seed])
-    coin, draw = p < 1.0, rng.random
-    unseen = list(map(len, adj))
-    tree = [0] * (n + 1)
+    coin, draw = p < 1.0, rng.random if rng else None
+    unseen: list[int] = []
+    tree: list[int] = []
     live: dict[int, int] = {}  # revivable node -> its position in order
     done = revivals = 0
 
@@ -202,9 +194,12 @@ def _revivable(g: Graph, seed: int, budget: int, rng: random.Random, technique: 
             tree[i] += delta
             i += i & -i
 
+    todo = iter(order)  # order is the FIFO queue: the loop reaches what is appended
     while True:
-        while q and len(order) < budget:
-            nbrs = adj[q.popleft()]
+        for u in todo:
+            if len(order) == budget:
+                break
+            nbrs = adj[u]
             if names and len(nbrs) > names:
                 nbrs = [nbrs[i] for i in rng.sample(range(len(nbrs)), names)]
             for w in nbrs:  # one coin per adjacency entry: parallel edges flip again
@@ -212,11 +207,12 @@ def _revivable(g: Graph, seed: int, budget: int, rng: random.Random, technique: 
                     continue
                 seen[w] = 1
                 order.append(w)
-                q.append(w)
                 if len(order) == budget:
                     break
-        if len(order) >= budget:
-            break
+        if len(order) == budget or not (coin or names):
+            break  # a fire that reaches every neighbor dies only with its component
+        if not tree:  # the first stall
+            unseen, tree = list(map(len, adj)), [0] * (n + 1)
         for u in order[done:]:
             for w in adj[u]:
                 unseen[w] -= 1
@@ -236,7 +232,9 @@ def _revivable(g: Graph, seed: int, budget: int, rng: random.Random, technique: 
                 i += step
                 k -= tree[i]
             step >>= 1
-        q.append(order[i])
+        rest = iter(order)
+        rest.__setstate__(done)  # resumes at position done in O(1), unlike islice
+        todo = chain((order[i],), rest)
         revivals += 1
     return _make_trace(technique, g, seed, order, False, revivals)
 

@@ -480,9 +480,15 @@ def test_analytic_mode_reports_the_law_bias_mode_references():
 
 
 def test_wwor_refuses_a_graph_without_edges():
-    # no generated source or loaded file makes such a graph, but run_technique takes any
-    with pytest.raises(ValueError, match="graph has no edges to draw from"):
-        run_technique(Graph([[], []]), [0], TechniqueSpec("wwor"), 1, random.Random(0))
+    # no generated source or loaded file makes such a graph, but run_technique takes any;
+    # it refuses one for every technique, with one message, before it draws the start
+    for name, tech in TECHNIQUES.items():
+        spec = TechniqueSpec(name, tech.param and tech.param.default)
+        rng = random.Random(0)
+        state = rng.getstate()
+        with pytest.raises(ValueError, match="graph has no edges to draw from"):
+            run_technique(Graph([[], []]), [0], spec, 1, rng)
+        assert rng.getstate() == state, name
 
 
 def test_run_assortativity_sweep_rows():

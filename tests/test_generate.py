@@ -123,11 +123,18 @@ def test_rewire_reaches_positive_and_negative_targets():
 
 
 def test_rewire_noop_when_already_at_target():
-    g = _irregular_graph()
+    class CountingGraph(Graph):
+        def edges(self):
+            self.edge_calls += 1
+            return super().edges()
+
+    g = CountingGraph(_irregular_graph().adjacency)
+    g.edge_calls = 0
     r = assortativity(g)
     res = rewire_to_assortativity(g, r, random.Random(1), tolerance=0.02)
     assert res.accepted == 0
     assert res.graph is g
+    assert g.edge_calls == 0  # no proposal, so no edge table
 
 
 def test_rewire_reached_says_whether_r_is_within_tolerance():

@@ -99,10 +99,14 @@ def test_every_nonseed_node_touches_an_earlier_node():
 
 def test_forest_fire_p1_equals_bfs():
     g = _config_graph(seed=8)
-    seed = sorted(largest_component_nodes(g))[0]
-    want = bfs(g, seed, 150).nodes
-    for r in range(5):
-        assert forest_fire(g, seed, 150, 1.0, random.Random(r)).nodes == want
+    giant = largest_component_nodes(g)
+    seed = min(giant)
+    for budget in (150, len(giant) + 10):  # the second is beyond the component
+        want = bfs(g, seed, budget)
+        for r in range(5):
+            got = forest_fire(g, seed, budget, 1.0, random.Random(r))
+            assert (got.nodes, got.revivals, want.revivals) == (want.nodes, 0, 0)
+    assert sorted(want.nodes) == sorted(giant)
 
 
 def test_forest_fire_revival_completes_budget():
@@ -125,8 +129,7 @@ def test_snowball_full_names_equals_bfs_law():
     seed = sorted(largest_component_nodes(g))[0]
     want = bfs(g, seed, 100).nodes
     got = snowball(g, seed, 100, max(g.degrees()), random.Random(0)).nodes
-    # same node set and same hop layers; order inside a layer may differ
-    assert sorted(got) == sorted(want)
+    assert got == want  # every neighbor referred: the same FIFO crawl, node for node
 
 
 def test_budget_capped_by_component():
