@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from array import array
 from collections import Counter
 from typing import IO, Callable, Iterable, Iterator, KeysView, Mapping, Sequence
 
@@ -270,13 +271,18 @@ def load_edge_list(source: str | IO[str] | Iterable[str], raw: bool = False) -> 
     file order of the lines naming its edges; with the cleanup, in the order
     each edge is first seen. Seeded runs on a file depend on this numbering
     and order.
+
+    Each id value is one int object: the rows, and every label x with
+    0 <= x < n, refer to the dense ids' own objects. The pair ends are held
+    as dense ids in an array("i") while the file is read, so a file may name
+    at most 2**31 distinct nodes.
     """
     if isinstance(source, str):
         with open(source, "r", encoding="utf-8") as fh:
             return load_edge_list(fh, raw)
 
     index: dict[int, int] = {}
-    ends: list[int] = []  # dense ids, two per edge in file order
+    ends = array("i")  # dense ids, two per edge in file order
     intern, put = index.setdefault, ends.append
     for lineno, line in enumerate(source, start=1):
         parts = line.split()
@@ -290,18 +296,21 @@ def load_edge_list(source: str | IO[str] | Iterable[str], raw: bool = False) -> 
             raise GraphFormatError(f"line {lineno}: non-integer node id {token!r}") from None
         put(intern(u, len(index)))
         put(intern(v, len(index)))
-    labels = list(index)
-    del index, intern, put  # the bound methods would keep the dict and list alive
-    n = len(labels)
+    # ids[k] is dense id k's one int object; rows, component positions and
+    # in-range labels all refer to it, so a value above 256 is stored once
+    ids = list(index.values())
+    n = len(ids)
+    labels = [ids[x] if 0 <= x < n else x for x in index]
+    del index, intern, put  # the bound methods would keep the dict and array alive
     if n == 0:
         raise ValueError("empty graph after preprocessing")
 
-    adj: list[list[int]] = [[] for _ in labels]
+    adj: list[list[int]] = [[] for _ in ids]
     pairs = iter(ends)
     for u, v in zip(pairs, pairs):
         if raw or u != v:
-            adj[u].append(v)
-            adj[v].append(u)  # u == v appends twice: a self-loop adds 2 to the degree
+            adj[u].append(ids[v])
+            adj[v].append(ids[u])  # u == v appends twice: a self-loop adds 2 to the degree
     del ends, pairs
     if raw:  # every id came from an edge, so the graph has one
         return Graph(adj, labels)
@@ -311,13 +320,16 @@ def load_edge_list(source: str | IO[str] | Iterable[str], raw: bool = False) -> 
     # membership test, and they are local to this call, so they are rewritten in place
     kept = largest_component_nodes(Graph(adj, labels))
     pos = [0] * n
-    for i, v in enumerate(kept):
+    for i, v in zip(ids, kept):
         pos[v] = i
     for v in kept:
         # v's first entry for w comes from the line that first named the edge {v, w},
         # so dict.fromkeys keeps each edge's first-seen order
         adj[v] = [pos[w] for w in dict.fromkeys(adj[v])]
-    g = Graph([adj[v] for v in kept], [labels[v] for v in kept])
+    del ids, pos
+    # drop the raw outer list and the rows outside the component before Graph copies the labels
+    adj, labels = [adj[v] for v in kept], [labels[v] for v in kept]
+    g = Graph(adj, labels)
     if g.edge_count == 0:
         raise ValueError("empty graph after preprocessing")
     return g

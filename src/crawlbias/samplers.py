@@ -201,7 +201,7 @@ def _revivable(g: Graph, seed: int, budget: int, rng: random.Random | None, tech
                 break
             nbrs = adj[u]
             if names and len(nbrs) > names:
-                nbrs = [nbrs[i] for i in rng.sample(range(len(nbrs)), names)]
+                nbrs = rng.sample(nbrs, names)
             for w in nbrs:  # one coin per adjacency entry: parallel edges flip again
                 if seen[w] or (coin and draw() >= p):
                     continue

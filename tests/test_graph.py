@@ -157,6 +157,11 @@ def test_load_edge_list_remaps_sparse_ids():
     g = load_edge_list(io.StringIO(text))
     assert g.node_count == 3
     assert g.labels == [100, 7, 42]
+    # ids 0..n-1 share the dense ids' int objects; a negative id or one >= n
+    # is kept by value, not read as a dense id
+    text = "-1 2\n2 1000\n1000 0\n0 -1\n1 2\n"
+    assert load_edge_list(io.StringIO(text), RAW).labels == [-1, 2, 1000, 0, 1]
+    assert load_edge_list(io.StringIO(text)).labels == [-1, 2, 0, 1000, 1]
 
 
 def test_load_edge_list_errors():
@@ -283,6 +288,18 @@ def test_load_edge_list_peak_memory(tmp_path):
             tracemalloc.stop()
         assert g.node_count > 15000
         assert peak <= 1.6 * retained, (options, peak, retained)
+
+
+def test_load_edge_list_one_int_object_per_id(tmp_path):
+    # rows, component positions and labels in 0..n-1 refer to the dense ids' own
+    # int objects, so each value above CPython's small-int cache is stored once
+    edge_file = tmp_path / "g.txt"
+    assert cli.main(["generate", "--pk", "powerlaw:2.5:2:100", "--nodes", "2000",
+                     "--rng-seed", "1", "--out", str(edge_file)]) == 0
+    for options in (None, RAW):
+        g = load_edge_list(str(edge_file), options)
+        big = [x for row in g.adjacency for x in row if x > 256] + [x for x in g.labels if x > 256]
+        assert len({id(x) for x in big}) == len(set(big)) > 1000, options
 
 
 def test_shared_setup_component_is_the_loaded_graph(tmp_path):

@@ -1,7 +1,8 @@
-"""The generator and the walks draw exactly as random.Random does.
+"""The generator, the walks and snowball draw exactly as random.Random does.
 
-configuration_model inlines rng.shuffle's loop and the walks draw through
-samplers._randbelow instead of rng.randrange. Each test here compares them
+configuration_model inlines rng.shuffle's loop, the walks draw through
+samplers._randbelow instead of rng.randrange, and snowball samples a
+neighbour row itself rather than its indices. Each test here compares them
 with a reference written with the stdlib calls: same output and same final
 rng state, so every seeded graph and trace stays as it was. The tests are
 plain functions with plain asserts, so they also run without pytest:
@@ -109,6 +110,21 @@ def test_walks_match_randrange_reference():
                     trace = walk(g, start, 3000, ours)
                     assert trace.nodes == reference(g, start, 3000, ref), (walk, seed, start)
                     assert ours.getstate() == ref.getstate(), (walk, seed, start)
+
+
+def test_sample_of_sequence_matches_sample_of_indices():
+    # snowball refers rng.sample(nbrs, names): random.sample draws its indices
+    # from len(population) alone, so the picks and the final state are those of
+    # a sample of range(n) mapped back; n crosses the 21-entry set-size switch
+    sizes = list(range(1, 41)) + [1000]
+    for seed in SEEDS:
+        ours, ref = random.Random(seed), random.Random(seed)
+        for n in sizes:
+            seq = list(range(500, 500 + n))
+            for k in range(min(n, 10) + 1):
+                picks = [seq[i] for i in ref.sample(range(n), k)]
+                assert ours.sample(seq, k) == picks, (seed, n, k)
+        assert ours.getstate() == ref.getstate(), seed
 
 
 def run_all():
