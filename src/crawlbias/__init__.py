@@ -16,8 +16,8 @@ from .estimators import (EstimationReport, NeighborhoodScheme, arbitrary_topolog
 from .generate import (RewireResult, configuration_model, degree_sequence_from_distribution,
                        rewire_to_assortativity)
 from .graph import (DegreeDistribution, Graph, GraphFormatError, RAW, assortativity,
-                    ball, connected_components, degree_distribution, induced_subgraph,
-                    largest_component_nodes, load_edge_list, moments, stats_row)
+                    ball, degree_distribution, induced_subgraph, largest_component_nodes,
+                    load_edge_list, moments, stats_row)
 from .samplers import (FIFO, LIFO, QueueDiscipline, SampleTrace, StubAssignment,
                        assign_stub_indices, bfs, dfs, forest_fire, mhrw, random_walk,
                        randomized_fifo, snowball, stub_level_traversal,
@@ -31,7 +31,7 @@ __all__ = [
     "GraphFormatError", "LIFO", "NeighborhoodScheme", "QueueDiscipline",
     "RAW", "RewireResult", "SampleTrace", "StubAssignment", "arbitrary_topology_estimate",
     "assign_stub_indices", "assortativity", "ball", "bfs", "bfs_correct",
-    "configuration_model", "connected_components", "curve_rows", "degree_distribution",
+    "configuration_model", "curve_rows", "degree_distribution",
     "degree_sequence_from_distribution", "dfs", "empirical_q", "exact_step_distribution",
     "f_k_of_t", "f_of_t", "forest_fire", "induced_subgraph", "largest_component_nodes",
     "load_edge_list", "mean_q_of_f", "mhrw", "mhrw_correct", "moments", "q_k_of_f",

@@ -375,11 +375,11 @@ def run_technique(g: Graph, component: Sequence[int], tech: TechniqueSpec,
 #
 # A set-up is a graph plus its sorted largest component, where crawls start. A
 # file source has one set-up, shared by every replica; the loader keeps only
-# the largest component, so it is the whole graph. A generated source has none
-# shared, and each replica builds its graph from its own "graph" seed. Every
-# graph and law a mode uses comes from the three functions below.
+# the largest component, so it is the whole graph, range(n). A generated source
+# has none shared, and each replica builds its graph from its own "graph" seed.
+# Every graph and law a mode uses comes from the three functions below.
 
-Setup = tuple[Graph, list[int]]
+Setup = tuple[Graph, Sequence[int]]
 
 
 def _setup(g: Graph) -> Setup:
@@ -390,7 +390,7 @@ def _shared_setup(cfg: ExperimentConfig) -> Setup | None:
     if cfg.source.kind != "file":
         return None
     g = cfg.source.build(None)[0]
-    return g, list(range(g.node_count))
+    return g, range(g.node_count)
 
 
 def _replica_setup(cfg: ExperimentConfig, replica: int, shared: Setup | None) -> Setup:

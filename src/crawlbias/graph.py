@@ -21,8 +21,9 @@ class Graph:
 
     Instances are frozen by convention once built: nothing in this package
     mutates an existing Graph, so concurrent readers need no locking. The
-    constructor takes ownership of the neighbor lists it is given instead of
-    copying them; callers hand over freshly built lists and keep no alias.
+    constructor takes ownership of the neighbor lists and of labels, the node
+    names for reporting (range(n) when none are given), instead of copying
+    them; callers hand over freshly built lists and keep no alias.
     """
 
     __slots__ = ("adjacency", "edge_count", "labels")
@@ -35,8 +36,7 @@ class Graph:
             raise ValueError("labels length does not match node count")
         self.adjacency = adjacency
         self.edge_count = stubs // 2
-        # original node names for reporting; identity when the graph was generated
-        self.labels = list(labels) if labels is not None else list(range(len(adjacency)))
+        self.labels = labels if labels is not None else range(len(adjacency))
 
     @classmethod
     def from_edges(cls, node_count: int, edges: Iterable[tuple[int, int]],
@@ -209,13 +209,13 @@ def ball(g: Graph, center: int, radius: int) -> KeysView[int]:
     return seen.keys()
 
 
-def connected_components(g: Graph) -> list[list[int]]:
-    """Components as node-id lists, discovered in id order."""
-    n = g.node_count
-    seen = bytearray(n)
+def largest_component_nodes(g: Graph) -> list[int]:
+    """The largest component in depth-first discovery order; components are
+    searched in id order, and a tie in size keeps the one found first."""
     adj = g.adjacency
-    comps = []
-    for start in range(n):
+    seen = bytearray(len(adj))
+    largest: list[int] = []
+    for start in range(len(adj)):
         if seen[start]:
             continue
         seen[start] = 1
@@ -228,13 +228,9 @@ def connected_components(g: Graph) -> list[list[int]]:
                     seen[w] = 1
                     comp.append(w)
                     stack.append(w)
-        comps.append(comp)
-    return comps
-
-
-def largest_component_nodes(g: Graph) -> list[int]:
-    comps = connected_components(g)
-    return max(comps, key=len)
+        if len(comp) > len(largest):
+            largest = comp
+    return largest
 
 
 def induced_subgraph(g: Graph, nodes: Sequence[int]) -> Graph:
@@ -266,7 +262,7 @@ def load_edge_list(source: str | IO[str] | Iterable[str], raw: bool = False) -> 
     multigraph.
 
     Ids are remapped to dense ids 0..n-1: in first-seen order when raw, and
-    otherwise in the order connected_components discovers the component,
+    otherwise in the order largest_component_nodes discovers the component,
     starting from its first-seen node. Each node lists its neighbours in the
     file order of the lines naming its edges; with the cleanup, in the order
     each edge is first seen. Seeded runs on a file depend on this numbering
@@ -318,7 +314,7 @@ def load_edge_list(source: str | IO[str] | Iterable[str], raw: bool = False) -> 
     # the DFS skips a repeated neighbour as seen, so duplicates leave its order
     # unchanged; a component is closed under adjacency, so its rows need no
     # membership test, and they are local to this call, so they are rewritten in place
-    kept = largest_component_nodes(Graph(adj, labels))
+    kept = largest_component_nodes(Graph(adj))
     pos = [0] * n
     for i, v in zip(ids, kept):
         pos[v] = i
@@ -327,7 +323,7 @@ def load_edge_list(source: str | IO[str] | Iterable[str], raw: bool = False) -> 
         # so dict.fromkeys keeps each edge's first-seen order
         adj[v] = [pos[w] for w in dict.fromkeys(adj[v])]
     del ids, pos
-    # drop the raw outer list and the rows outside the component before Graph copies the labels
+    # keep only the component's rows and labels; Graph takes both lists as they are
     adj, labels = [adj[v] for v in kept], [labels[v] for v in kept]
     g = Graph(adj, labels)
     if g.edge_count == 0:

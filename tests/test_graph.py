@@ -8,7 +8,7 @@ import tracemalloc
 import pytest
 
 from crawlbias import (DegreeDistribution, Graph, GraphFormatError, RAW,
-                       assortativity, ball, cli, configuration_model, connected_components,
+                       assortativity, ball, cli, configuration_model,
                        degree_distribution, degree_sequence_from_distribution, induced_subgraph,
                        largest_component_nodes, load_edge_list, moments, stats_row)
 from crawlbias.experiments import ExperimentConfig, GraphSource, TechniqueSpec, _shared_setup
@@ -113,12 +113,22 @@ def test_ball_on_path():
 
 def test_components_and_induced_subgraph():
     g = Graph.from_edges(5, [(0, 1), (1, 2), (3, 4)])
-    comps = connected_components(g)
-    assert sorted(map(sorted, comps)) == [[0, 1, 2], [3, 4]]
-    assert sorted(largest_component_nodes(g)) == [0, 1, 2]
+    assert [sorted(ball(g, v, g.node_count)) for v in (0, 3)] == [[0, 1, 2], [3, 4]]
+    assert largest_component_nodes(g) == [0, 1, 2]
     sub = induced_subgraph(g, [0, 1, 2])
     assert sub.node_count == 3
     assert sub.edge_count == 2
+
+
+def test_largest_component_ties_to_the_smallest_id_in_dfs_order():
+    # components {0, 5}, then two of five nodes from 1 and from 2: the tie goes to
+    # the one holding the smaller id, listed as the depth-first search discovers it
+    # (breadth-first would give 1, 8, 3, 10, 9)
+    edges = [(0, 5), (1, 8), (1, 3), (8, 10), (3, 9), (2, 4), (4, 6), (6, 7), (7, 11)]
+    assert largest_component_nodes(Graph.from_edges(12, edges)) == [1, 8, 3, 9, 10]
+    # a larger component found later replaces both
+    edges += [(17, 12), (12, 13), (12, 14), (14, 15), (15, 16)]
+    assert largest_component_nodes(Graph.from_edges(18, edges)) == [12, 17, 13, 14, 15, 16]
 
 
 def test_load_edge_list_basic():
@@ -190,8 +200,36 @@ def test_load_edge_list_errors():
             assert str(ref.value) == message
 
 
+def _reference_component(g):
+    """The largest component by union-find, a tie in size going to the one with
+    the smallest id, listed in the order a stack-based depth-first search from
+    that id discovers it: each popped node marks and pushes its unseen
+    neighbours in adjacency order."""
+    parent = list(range(g.node_count))
+
+    def root(v):
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    for u, v in g.edges():
+        parent[root(u)] = root(v)
+    members = {}
+    for v in range(g.node_count):
+        members.setdefault(root(v), []).append(v)
+    start = min(members.values(), key=lambda c: (-len(c), c[0]))[0]
+    order, stack = [start], [start]
+    while stack:
+        for w in g.adjacency[stack.pop()]:
+            if w not in order:
+                order.append(w)
+                stack.append(w)
+    return order
+
+
 def _reference_load_edge_list(source, raw=False):
-    """The earlier tuple-based loader: pair tuples, a seen set, then induced_subgraph.
+    """The earlier tuple-based loader: pair tuples, a seen set, then induced_subgraph
+    on a component found by _reference_component.
 
     load_edge_list must give the same adjacency, labels and errors.
     """
@@ -227,7 +265,7 @@ def _reference_load_edge_list(source, raw=False):
     if not raw:
         if g.node_count == 0:
             raise ValueError("empty graph after preprocessing")
-        g = induced_subgraph(g, largest_component_nodes(g))
+        g = induced_subgraph(g, _reference_component(g))
     if g.node_count == 0 or g.edge_count == 0:
         raise ValueError("empty graph after preprocessing")
     return g
@@ -309,7 +347,8 @@ def test_shared_setup_component_is_the_loaded_graph(tmp_path):
                            techniques=[TechniqueSpec("bfs")], f_grid=[0.5], replicas=1,
                            seed=0)
     g, component = _shared_setup(cfg)
-    assert component == sorted(largest_component_nodes(g)) == list(range(g.node_count))
+    assert component == range(g.node_count)
+    assert sorted(largest_component_nodes(g)) == list(component)
 
 
 def test_stats_row_fields():

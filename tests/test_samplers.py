@@ -7,9 +7,8 @@ from collections import Counter, deque
 import pytest
 
 from crawlbias import (FIFO, LIFO, DegreeDistribution, Graph, QueueDiscipline, SampleTrace,
-                       StubAssignment, assign_stub_indices, bfs, configuration_model,
-                       connected_components, degree_sequence_from_distribution, dfs,
-                       exact_step_distribution,
+                       StubAssignment, assign_stub_indices, ball, bfs, configuration_model,
+                       degree_sequence_from_distribution, dfs, exact_step_distribution,
                        forest_fire, largest_component_nodes, mhrw, random_walk, randomized_fifo,
                        snowball, stub_level_traversal, trace_from_csv, trace_to_csv,
                        weighted_without_replacement)
@@ -211,7 +210,8 @@ def test_revivable_traversal_matches_rescan_reference():
     assert any(v in g.adjacency[v] for v in range(300))
     assert any(len(set(a)) < len(a) for a in g.adjacency)
     giant = largest_component_nodes(g)
-    small = max((c for c in connected_components(g) if len(c) < len(giant)), key=len)
+    small = max((ball(g, v, g.node_count) for v in range(g.node_count) if v not in giant),
+                key=len)
     assert len(small) > 2
     revived = 0
     for start, budget in ((min(giant), 270), (min(small), len(small) + 5)):
