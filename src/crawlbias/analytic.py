@@ -45,8 +45,7 @@ def f_k_of_t(d: DegreeDistribution, t: float) -> dict[int, float]:
 
 def f_of_t(d: DegreeDistribution, t: float) -> float:
     """Overall discovered fraction f(t); equals 1 - p_0 at t = 1."""
-    _check_t(t)
-    return sum(p * _inclusion(t, k) for k, p in d.items())
+    return sum(f_k_of_t(d, t).values())
 
 
 def reachable_fraction(d: DegreeDistribution) -> float:
@@ -112,17 +111,14 @@ def _implied_f(q: DegreeDistribution, t: float) -> float:
 
 
 def q_k_of_t(d: DegreeDistribution, t: float) -> DegreeDistribution:
-    """Sample degree mix at scan time t (t > 0)."""
-    _check_t(t)
-    if t <= 0.0:
-        raise ValueError("q_k is a 0/0 limit at t = 0; use q_k_of_f with f = 0")
+    """Sample degree mix at scan time t; t = 0 returns its limit k*p_k/<k>."""
+    if t == 0.0:
+        return rw_expected(d)[0]
     return DegreeDistribution(f_k_of_t(d, t), normalize=True)
 
 
 def q_k_of_f(d: DegreeDistribution, f: float) -> DegreeDistribution:
     """Sample degree mix at coverage f; f = 0 returns the k*p_k/<k> limit."""
-    if f == 0.0:
-        return rw_expected(d)[0]
     return q_k_of_t(d, t_of_f(d, f))
 
 
@@ -145,41 +141,38 @@ def rw_expected(d: DegreeDistribution) -> tuple[DegreeDistribution, float]:
 def exact_step_distribution(degrees: Sequence[int], step: int) -> list[float]:
     """Exact law of the `step`-th draw of degree-weighted sampling without replacement.
 
-    With z the stub total, the chain starts degree-proportionally and each
-    later draw is degree-proportional among the nodes not yet drawn:
+    With z the stub total and K(S) the stubs of a drawn set S, the first draw
+    is degree-proportional and each later draw is degree-proportional among
+    the nodes not yet drawn, so the drawn sets carry the whole law:
 
-        P(X1 = u) = k_u / z
-        P(X2 = v) = sum_{u != v} k_v / (z - k_u) * P(X1 = u)
-        P(X3 = w) = sum_{v != w} sum_{u != w, v}
-                        k_w / (z - k_v - k_u) * k_v / (z - k_u) * P(X1 = u)
+        P(S + v) = sum over S not holding v of P(S) * k_v / (z - K(S))
 
-    Steps 1..3 are supported; the step-3 nested sum restricts the sequence
-    length to 12.
+    One pass per draw maps each drawn set to its probability and its stubs
+    left, and the last pass adds P(S) * k_v / (z - K(S)) to the law of v. Any
+    draw is covered; the cost is at most about 2^n * n for n nodes. A step past
+    the number of positive-degree nodes is never reached and raises ValueError.
     """
-    if step not in (1, 2, 3):
-        raise ValueError("only steps 1..3 are supported")
-    if step == 3 and len(degrees) > 12:
-        raise ValueError("step 3 is limited to sequences of at most 12 nodes")
+    if step < 1:
+        raise ValueError(f"step must be >= 1, got {step!r}")
     if any(k < 0 for k in degrees):
         raise ValueError("degrees must be nonnegative")
     z = sum(degrees)
     if z == 0:
         raise ValueError("degree sequence has no stubs")
     probs = [0.0] * len(degrees)
-
-    def draw(p: float, rest: int, drawn: tuple[int, ...], left: int) -> None:
-        """Draw one of the undrawn nodes from the rest stubs, the path so far having
-        probability p; at the last draw add each outcome's probability to probs."""
-        for v, k in enumerate(degrees):
-            if k == 0 or v in drawn:
-                continue
-            pv = k / rest * p
-            if left == 1:
-                probs[v] += pv
-            elif rest > k:  # else v holds every stub left: no later draw down this path
-                draw(pv, rest - k, (*drawn, v), left - 1)
-
-    draw(1.0, z, (), step)
+    drawn = {0: (1.0, z)}  # drawn set, as a bitmask -> (its probability, its stubs left)
+    for draw in range(1, step + 1):
+        grown: dict[int, tuple[float, int]] = {}
+        for s, (p, rest) in drawn.items():
+            for v, k in enumerate(degrees):
+                if k == 0 or s >> v & 1:
+                    continue
+                pv = k / rest * p
+                if draw == step:
+                    probs[v] += pv
+                else:
+                    grown[s | 1 << v] = (grown.get(s | 1 << v, (0.0, 0))[0] + pv, rest - k)
+        drawn = grown
     _check_total(probs, step)
     return probs
 
@@ -196,7 +189,7 @@ def curve_rows(d: DegreeDistribution, f_grid: Sequence[float]) -> list[dict[str,
     rows = []
     for f in f_grid:
         t = t_of_f(d, f)
-        q = q_k_of_t(d, t) if f else rw_expected(d)[0]  # q_k_of_f, without a second solve
+        q = q_k_of_t(d, t)  # q_k_of_f, without a second solve
         rows.append({
             "f": f,
             "t": t,

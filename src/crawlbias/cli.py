@@ -210,10 +210,11 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def _bfs_method(trace: SampleTrace, f: float | None) -> EstimationReport:
-    f_real = f if f is not None else trace.coverage
-    if math.isnan(f_real):  # the trace carries no f= metadata
-        raise ConfigError("bfs correction needs --f or a trace with coverage metadata")
-    return bfs_correct(trace, f_real)
+    if f is None:
+        if math.isnan(trace.coverage):  # the trace carries no f= metadata
+            raise ConfigError("bfs correction needs --f or a trace with coverage metadata")
+        f = trace.coverage
+    return bfs_correct(trace, f)
 
 
 #: correct's methods, and the one a trace of each technique takes by its law

@@ -57,7 +57,7 @@ def parse_pk_spec(spec: object) -> DegreeDistribution:
             return DegreeDistribution({k1: w1, k2: 1.0 - w1})
         if parts[0] == "powerlaw" and len(parts) == 4:
             return truncated_power_law(float(parts[1]), int(parts[2]), int(parts[3]))
-    except (TypeError, ValueError) as exc:  # JSONDecodeError and ConfigError are ValueErrors
+    except (TypeError, ValueError, OverflowError) as exc:  # ValueError: JSONDecodeError, ConfigError
         raise ConfigError(f"bad degree distribution spec {spec!r}: {exc}") from None
     raise ConfigError(f"bad degree distribution spec {spec!r}")
 

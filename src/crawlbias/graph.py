@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from array import array
 from collections import Counter
 from typing import IO, Callable, Iterable, Iterator, KeysView, Mapping, Sequence
@@ -93,6 +94,8 @@ class DegreeDistribution:
             kk = int(k)
             if kk != k or kk < 0:
                 raise ValueError(f"degree must be a nonnegative integer, got {k!r}")
+            if not math.isfinite(p):
+                raise ValueError(f"fraction for degree {kk} is not a finite number: {p!r}")
             if p < 0:
                 raise ValueError(f"negative fraction for degree {kk}")
             if p > 0:
@@ -100,6 +103,8 @@ class DegreeDistribution:
         total = sum(cleaned.values())
         if total <= 0:
             raise ValueError("distribution has no mass")
+        if total == math.inf:
+            raise ValueError("fractions sum past the largest float")
         if normalize:
             cleaned = {k: p / total for k, p in cleaned.items()}
         elif abs(total - 1.0) > 1e-12:

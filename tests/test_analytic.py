@@ -128,9 +128,12 @@ def test_q_k_hand_values():
     assert qf.get(1) == pytest.approx(4 / 11, abs=1e-8)
 
 
-def test_q_k_rejects_t_zero():
-    with pytest.raises(ValueError):
-        q_k_of_t(BIMODAL, 0.0)
+def test_q_k_at_t_zero_is_its_limit():
+    # the 0/0 mix at t = 0 is its limit, the degree-weighted law, as at f = 0
+    for d in (BIMODAL, DegreeDistribution({0: 0.1, 1: 0.3, 3: 0.4, 9: 0.2})):
+        assert q_k_of_t(d, 0.0) == rw_expected(d)[0] == q_k_of_f(d, 0.0)
+    with pytest.raises(ValueError, match="scan time t must lie in"):
+        q_k_of_t(BIMODAL, -0.1)
 
 
 def test_q_k_limit_at_f_zero_is_degree_weighted():
@@ -214,27 +217,34 @@ def test_step3_hand_values():
 
 
 def test_steps_match_brute_force_enumeration():
+    # every reachable step, on sequences with and without a degree-0 node
     rng = random.Random(17)
-    for _ in range(30):
+    for i in range(30):
         n = rng.randrange(3, 7)
         degrees = [rng.randrange(1, 5) for _ in range(n)]
-        for step in (1, 2, 3):
+        if i % 2:
+            degrees.insert(rng.randrange(n + 1), 0)
+        for step in range(1, n + 1):
             got = exact_step_distribution(degrees, step)
             want = _brute_force_step(degrees, step)
             assert got == pytest.approx(want, abs=1e-12)
 
 
 def test_step_rejects_unsupported_inputs():
+    with pytest.raises(ValueError, match="step 4 is not always reachable"):
+        exact_step_distribution([1, 1, 2], 4)  # more steps than nodes
     with pytest.raises(ValueError):
-        exact_step_distribution([1, 1, 2], 4)  # only the first three steps
-    with pytest.raises(ValueError):
-        exact_step_distribution([1, 1], 3)     # more steps than nodes
-    with pytest.raises(ValueError):
-        exact_step_distribution(list(range(1, 14)), 3)  # beyond the size cap
+        exact_step_distribution([1, 1], 3)
+    with pytest.raises(ValueError, match="step must be >= 1"):
+        exact_step_distribution([1, 1, 2], 0)
     with pytest.raises(ValueError, match="degrees must be nonnegative"):
         exact_step_distribution([2, -1, 1], 1)
     with pytest.raises(ValueError, match="degree sequence has no stubs"):
         exact_step_distribution([0, 0], 1)
+    # 13 nodes, past any size cap: still the exact law
+    degrees = list(range(1, 14))
+    assert exact_step_distribution(degrees, 3) == pytest.approx(
+        _brute_force_step(degrees, 3), abs=1e-12)
 
 
 def test_curve_rows_shape():

@@ -52,6 +52,15 @@ def test_parse_pk_spec_errors():
     for bad in ('{"2": 0.5, "3": ', '{"2": null}', '{"a": 1.0}', {"2": [0.5]}, {"2": 0.9}):
         with pytest.raises(ConfigError, match="bad degree distribution spec"):
             parse_pk_spec(bad)
+    # a weight that is not a finite number is refused, naming its degree, not dropped
+    for bad, degree in (('{"1": 0.5, "3": 0.5, "2": NaN}', 2), ('{"1": 0.5, "3": Infinity}', 3),
+                        ({"1": 0.5, "4": float("nan")}, 4), ("bimodal:1:3:nan", 1)):
+        with pytest.raises(ConfigError, match=f"fraction for degree {degree} is not a finite"):
+            parse_pk_spec(bad)
+    # power-law weights past the float range: one overflows, or only their sum does
+    for bad in ("powerlaw:-1000:2:100", "powerlaw:-154.1:1:100"):
+        with pytest.raises(ConfigError, match="bad degree distribution spec"):
+            parse_pk_spec(bad)
 
 
 def test_truncated_power_law_normalized():
@@ -799,6 +808,9 @@ def test_cli_correct_bfs_without_coverage_asks_for_f(tmp_path, capsys):
     trace_file.write_text("position,node,degree,x_value\n0,0,3,\n1,1,2,\n2,2,4,\n")
     assert _run_cli(["correct", "--trace", str(trace_file), "--method", "bfs"]) == 2
     assert "--f" in capsys.readouterr().err
+    # a NaN --f is the f given, and out of range, not a missing f
+    assert _run_cli(["correct", "--trace", str(trace_file), "--method", "bfs", "--f", "nan"]) == 2
+    assert capsys.readouterr().err == "error: f_real must lie in (0, 1]\n"
     assert _run_cli(["correct", "--trace", str(trace_file), "--method", "bfs",
                      "--f", "0.5", "--out", str(tmp_path / "c.csv")]) == 0
     # on a trace with x, sampled_mean is the plain mean of the x it corrects, not of the degrees
@@ -873,6 +885,12 @@ def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
     # a malformed JSON pk is named as a bad spec
     assert _run_cli(["generate", "--pk", '{"2": 0.5, "3": ', "--nodes", "5"]) == 2
     assert "bad degree distribution spec" in capsys.readouterr().err
+    # so are a NaN weight and power-law weights past the float range, and no graph is written
+    for pk, named in (('{"1": 0.5, "3": 0.5, "2": NaN}', "degree 2 is not a finite number"),
+                      ("powerlaw:-1000:2:100", "bad degree distribution spec"),
+                      ("powerlaw:-154.1:1:100", "fractions sum past the largest float")):
+        assert _run_cli(["generate", "--pk", pk, "--nodes", "10", "--out", str(none_file)]) == 2
+        assert named in capsys.readouterr().err and not none_file.exists()
     # sample hands --ff-p to ff only, so its default never reaches another technique,
     # and an out-of-range value fails as a config error
     assert _run_cli(["sample", "--pk", "regular:3", "--nodes", "20", "--technique", "ff",
