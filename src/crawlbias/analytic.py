@@ -162,6 +162,8 @@ def exact_step_distribution(degrees: Sequence[int], step: int) -> list[float]:
     probs = [0.0] * len(degrees)
     drawn = {0: (1.0, z)}  # drawn set, as a bitmask -> (its probability, its stubs left)
     for draw in range(1, step + 1):
+        if not drawn:  # every positive-degree node is drawn: no later step is reached
+            break
         grown: dict[int, tuple[float, int]] = {}
         for s, (p, rest) in drawn.items():
             for v, k in enumerate(degrees):

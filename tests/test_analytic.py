@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import time
 
 import pytest
 
@@ -235,6 +236,11 @@ def test_step_rejects_unsupported_inputs():
         exact_step_distribution([1, 1, 2], 4)  # more steps than nodes
     with pytest.raises(ValueError):
         exact_step_distribution([1, 1], 3)
+    # a step far past the last draw stops once every node is drawn, not after step passes
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="step 100000000 is not always reachable"):
+        exact_step_distribution([1, 0, 2], 10**8)
+    assert time.perf_counter() - start < 1.0
     with pytest.raises(ValueError, match="step must be >= 1"):
         exact_step_distribution([1, 1, 2], 0)
     with pytest.raises(ValueError, match="degrees must be nonnegative"):
