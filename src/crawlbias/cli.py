@@ -15,7 +15,7 @@ from contextlib import contextmanager
 
 from . import experiments
 from .estimators import ConvergenceError, EstimationReport, bfs_correct, mhrw_correct, rw_correct
-from .graph import GraphFormatError, largest_component_nodes, load_edge_list, stats_row
+from .graph import largest_component_nodes, load_edge_list, stats_row
 from .samplers import SampleTrace
 from .experiments import ConfigError, GraphSource, trace_from_csv, trace_to_csv
 
@@ -25,7 +25,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, GraphFormatError, ValueError) as exc:
+    except ValueError as exc:  # ConfigError and GraphFormatError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ConvergenceError as exc:
@@ -135,9 +135,8 @@ def _open_out(path: str):
 def cmd_stats(args: argparse.Namespace) -> int:
     g = load_edge_list(args.edgelist, args.raw)
     row = stats_row(g)
-    cols = ["nodes", "edges", "mean_degree", "k2_over_k", "assortativity"]
     with _open_out(args.out) as out:
-        experiments.write_rows_csv([row], cols, out)
+        experiments.write_rows_csv([row], list(row), out)
     return 0
 
 
@@ -229,17 +228,16 @@ def cmd_correct(args: argparse.Namespace) -> int:
     method = args.method or _TECHNIQUE_METHODS.get(trace.technique, "bfs")
     _check_flags(("--f", args.f is not None, "--method bfs", f"--method {method}"))
     report = _METHODS[method](trace, args.f)
+    row = {
+        "method": report.technique,
+        "sampled_mean": mhrw_correct(trace).mean,  # the plain mean of what is corrected
+        "corrected_mean": report.mean,
+        "iterations": report.iterations,
+        "t_value": report.t_value,
+        "residual": report.residual,
+    }
     with _open_out(args.out) as out:
-        cols = ["method", "sampled_mean", "corrected_mean", "iterations", "t_value", "residual"]
-        row = {
-            "method": report.technique,
-            "sampled_mean": mhrw_correct(trace).mean,  # the plain mean of what is corrected
-            "corrected_mean": report.mean,
-            "iterations": report.iterations,
-            "t_value": report.t_value,
-            "residual": report.residual,
-        }
-        experiments.write_rows_csv([row], cols, out)
+        experiments.write_rows_csv([row], list(row), out)
     return 0
 
 

@@ -19,11 +19,15 @@ class EstimationReport:
     technique: str
     mean: float
     distribution: DegreeDistribution | None = None
-    mean_degree: float | None = None
     total: float | None = None
     iterations: int = 0
     t_value: float | None = None
     residual: float | None = None
+
+    @property
+    def mean_degree(self) -> float | None:
+        """The corrected distribution's mean; None without a distribution."""
+        return None if self.distribution is None else self.distribution.mean()
 
 
 def empirical_q(trace: SampleTrace) -> DegreeDistribution:
@@ -73,7 +77,7 @@ def _reweight(technique: str, trace: SampleTrace, x: Sequence[float] | None,
     inv = weight.__getitem__
     est = sum(map(mul, xs, map(inv, trace.degrees))) / sum(map(inv, trace.degrees))
     p_hat = DegreeDistribution({k: qk / pi[k] for k, qk in q.items()}, normalize=True)
-    return EstimationReport(technique, est, p_hat, p_hat.mean(), **diagnostics)
+    return EstimationReport(technique, est, p_hat, **diagnostics)
 
 
 def mhrw_correct(trace: SampleTrace, x: Sequence[float] | None = None) -> EstimationReport:
@@ -241,7 +245,7 @@ def rmse_compare(g: Graph, x: Sequence[float], replicas: int, rng: random.Random
     for _ in range(replicas):
         seed = rng.randrange(n)
         arb.append(arbitrary_topology_estimate(g, x, seed, scheme))
-        trace = _make_trace("bfs", g, seed, list(ball(g, seed, depth)), False)
+        trace = _make_trace("bfs", g, list(ball(g, seed, depth)), False)
         corrected.append(bfs_correct(trace, len(trace) / n, [x[v] for v in trace.nodes]))
     return [_rmse_row(arb, truth),
             _rmse_row(corrected, truth, sum(r.iterations for r in corrected) / replicas,

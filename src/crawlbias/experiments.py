@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 import os
 import random
 from dataclasses import dataclass, field, replace
@@ -90,13 +91,13 @@ class _Technique(NamedTuple):
 
 def _draw(technique: str, start_first: bool, g: Graph, start: int, budget: int,
           _param: None, rng: random.Random) -> SampleTrace:
-    """wwor and stub race the degrees instead of crawling: wwor's seed_node is its first
+    """wwor and stub race the degrees instead of crawling: wwor starts at its first
     draw; stub puts the start first, then the race order, as stub_level_traversal does."""
     _check_start(g, start, budget)
     nodes = weighted_without_replacement(g.degrees(), min(budget, g.node_count), rng)
     if start_first:
         nodes = [start, *(v for v in nodes if v != start)][:budget]
-    return _make_trace(technique, g, nodes[0], nodes, False)
+    return _make_trace(technique, g, nodes, False)
 
 
 #: Every technique run_technique runs, by name: its runner, its parameter and its law.
@@ -690,18 +691,23 @@ def trace_from_csv(source: str | IO[str] | Iterable[str]) -> SampleTrace:
     """Read a trace written by trace_to_csv. Node ids are kept as written.
 
     The header must be trace_to_csv's, TRACE_COLUMNS, so that no column is read
-    as another and no record is taken for the header. x_value must be filled on
-    every row or on none.
+    as another and no record is taken for the header. A value no estimator can
+    use fails, naming its line and its column or key: positions count 0, 1, 2, ...
+    in record order; degrees are integers >= 0; x_value is a finite number, on
+    every row or on none; f lies in (0, 1]; with_replacement is true or false,
+    and false (the default) lists each node once; seed_node, which the trace
+    does not store, must be the first record's node.
     """
     if isinstance(source, str):
         with open(source, "r", encoding="utf-8") as fh:
             return trace_from_csv(fh)
     meta: dict[str, str] = {}
+    meta_line: dict[str, int] = {}
     nodes: list[int] = []
     degrees: list[int] = []
     xs: list[float | None] = []
     header_seen = False
-    for line in source:
+    for lineno, line in enumerate(source, 1):
         text = line.strip()
         if not text:
             continue
@@ -709,7 +715,7 @@ def trace_from_csv(source: str | IO[str] | Iterable[str]) -> SampleTrace:
             for tok in text[1:].split():
                 if "=" in tok:
                     key, val = tok.split("=", 1)
-                    meta[key] = val
+                    meta[key], meta_line[key] = val, lineno
             continue
         if not header_seen:
             if text.split(",") != TRACE_COLUMNS:
@@ -719,26 +725,62 @@ def trace_from_csv(source: str | IO[str] | Iterable[str]) -> SampleTrace:
             continue
         parts = text.split(",")
         if len(parts) != len(TRACE_COLUMNS):
-            raise ValueError(f"malformed trace row: {text!r}")
-        nodes.append(int(parts[1]))
-        degrees.append(int(parts[2]))
-        xs.append(float(parts[3]) if parts[3] else None)
+            raise ValueError(f"line {lineno}: malformed trace row: {text!r}")
+        position, node, degree, x = parts
+        at = f"line {lineno}:"
+        _parse(f"{at} position", position, int, len(nodes).__eq__,
+               f"{len(nodes)}: positions count 0, 1, 2, ... in record order")
+        nodes.append(_parse(f"{at} node", node, int, None, "an integer"))
+        degrees.append(_parse(f"{at} degree", degree, int, (0).__le__, "an integer >= 0"))
+        xs.append(_parse(f"{at} x_value", x, float, math.isfinite, "a finite number")
+                  if x else None)
     if not nodes:
         raise ValueError("trace file holds no records")
     blank = xs.count(None)
     if 0 < blank < len(xs):
         raise ValueError(f"x_value is blank on {blank} of {len(xs)} trace rows; "
                          "fill it on every row or on none")
+
+    def read(key: str, parse: Callable[[str], object], ok: Callable[[object], bool] | None,
+             what: str, default: object) -> object:
+        if key not in meta:
+            return default
+        return _parse(f"line {meta_line[key]}: {key}", meta[key], parse, ok, what)
+
+    read("seed_node", int, nodes[0].__eq__, f"the first record's node {nodes[0]}", None)
+    # f=nan, as trace_to_csv writes an unknown coverage, reads as no f
+    coverage = read("f", float, lambda f: math.isnan(f) or 0.0 < f <= 1.0,
+                    "a number in (0, 1]", math.nan)
+    with_replacement = read("with_replacement", str, ("true", "false").__contains__,
+                            "true or false", "false") == "true"
+    if not with_replacement:
+        first: dict[int, int] = {}
+        for i, v in enumerate(nodes):
+            if first.setdefault(v, i) != i:
+                raise ValueError(f"node {v} is at positions {first[v]} and {i}, but a trace "
+                                 "without with_replacement=true lists each node once")
     return SampleTrace(
         technique=meta.get("technique", "unknown"),
-        seed_node=int(meta.get("seed_node", nodes[0])),
         nodes=nodes,
         degrees=degrees,
-        with_replacement=meta.get("with_replacement", "false") == "true",
-        coverage=float(meta.get("f", "nan")),
+        with_replacement=with_replacement,
+        coverage=coverage,
         x_values=None if blank else xs,
-        revivals=int(meta.get("revivals", 0)),
+        revivals=read("revivals", int, (0).__le__, "an integer >= 0", 0),
     )
+
+
+def _parse(where: str, text: str, parse: Callable[[str], object],
+           ok: Callable[[object], bool] | None, what: str) -> object:
+    """parse(text), or a ValueError that names where the text stands and what it must be."""
+    try:
+        value = parse(text)
+    except ValueError:
+        pass
+    else:
+        if ok is None or ok(value):
+            return value
+    raise ValueError(f"{where} {text!r} is not {what}")
 
 
 TRACE_COLUMNS = ["position", "node", "degree", "x_value"]

@@ -29,13 +29,17 @@ class SampleTrace:
     """
 
     technique: str
-    seed_node: int
     nodes: list[int]
     degrees: list[int]
     with_replacement: bool
     coverage: float
     x_values: list[float] | None = None
     revivals: int = 0
+
+    @property
+    def seed_node(self) -> int:
+        """The start: every sampler records it first."""
+        return self.nodes[0]
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -130,12 +134,11 @@ def _check_walk(g: Graph, seed: int, steps: int) -> None:
         raise ValueError("walk started on an isolated node")
 
 
-def _make_trace(technique: str, g: Graph, seed: int, nodes: list[int],
-                with_replacement: bool, revivals: int = 0) -> SampleTrace:
+def _make_trace(technique: str, g: Graph, nodes: list[int], with_replacement: bool,
+                revivals: int = 0) -> SampleTrace:
     degs = [len(g.adjacency[v]) for v in nodes]
     coverage = (len(set(nodes)) if with_replacement else len(nodes)) / g.node_count
-    return SampleTrace(technique, seed, nodes, degs, with_replacement, coverage,
-                       revivals=revivals)
+    return SampleTrace(technique, nodes, degs, with_replacement, coverage, revivals=revivals)
 
 
 def bfs(g: Graph, seed: int, budget: int) -> SampleTrace:
@@ -159,7 +162,7 @@ def dfs(g: Graph, seed: int, budget: int) -> SampleTrace:
         seen[u] = 1
         order.append(u)
         stack.extend(adj[u])
-    return _make_trace("dfs", g, seed, order, False)
+    return _make_trace("dfs", g, order, False)
 
 
 def _revivable(g: Graph, seed: int, budget: int, rng: random.Random | None, technique: str,
@@ -236,7 +239,7 @@ def _revivable(g: Graph, seed: int, budget: int, rng: random.Random | None, tech
         rest.__setstate__(done)  # resumes at position done in O(1), unlike islice
         todo = chain((order[i],), rest)
         revivals += 1
-    return _make_trace(technique, g, seed, order, False, revivals)
+    return _make_trace(technique, g, order, False, revivals)
 
 
 def forest_fire(g: Graph, seed: int, budget: int, p: float, rng: random.Random) -> SampleTrace:
@@ -278,7 +281,7 @@ def random_walk(g: Graph, seed: int, steps: int, rng: random.Random) -> SampleTr
         nbrs = adj[u]
         u = nbrs[_randbelow(getrandbits, len(nbrs))]
         nodes.append(u)
-    return _make_trace("rw", g, seed, nodes, True)
+    return _make_trace("rw", g, nodes, True)
 
 
 def mhrw(g: Graph, seed: int, steps: int, rng: random.Random) -> SampleTrace:
@@ -302,7 +305,7 @@ def mhrw(g: Graph, seed: int, steps: int, rng: random.Random) -> SampleTrace:
             u = w
             ku = kw
         nodes.append(u)
-    return _make_trace("mhrw", g, seed, nodes, True)
+    return _make_trace("mhrw", g, nodes, True)
 
 
 def weighted_without_replacement(degrees: Sequence[int], budget: int,
@@ -420,5 +423,5 @@ def stub_level_traversal(degrees: Sequence[int], assignment: StubAssignment, see
 
     realized = Graph.from_edges(n, edges)
     degs = [degrees[v] for v in trace]
-    sample = SampleTrace("stub", seed, trace, degs, False, len(trace) / n)
+    sample = SampleTrace("stub", trace, degs, False, len(trace) / n)
     return realized, sample

@@ -2,24 +2,24 @@
 
 import math
 import random
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
 import crawlbias.analytic
 import crawlbias.estimators
-from crawlbias import (ConvergenceError, DegreeDistribution, Graph, NeighborhoodScheme,
-                       SampleTrace, arbitrary_topology_estimate, ball, bfs, bfs_correct,
-                       configuration_model, degree_sequence_from_distribution, empirical_q,
-                       f_of_t, largest_component_nodes, mhrw, mhrw_correct, q_k_of_t,
-                       random_walk, rmse_compare, rw_correct)
+from crawlbias import (ConvergenceError, DegreeDistribution, EstimationReport, Graph,
+                       NeighborhoodScheme, SampleTrace, arbitrary_topology_estimate, ball, bfs,
+                       bfs_correct, configuration_model, degree_sequence_from_distribution,
+                       empirical_q, f_of_t, largest_component_nodes, mhrw, mhrw_correct,
+                       q_k_of_t, random_walk, rmse_compare, rw_correct)
 from crawlbias.analytic import _inclusion
 
 PATH3 = Graph.from_edges(3, [(0, 1), (1, 2)])
 
 
 def _trace(degrees, with_replacement=False, x=None, coverage=0.5):
-    return SampleTrace("test", 0, list(range(len(degrees))), list(degrees),
+    return SampleTrace("test", list(range(len(degrees))), list(degrees),
                        with_replacement, coverage, x_values=x)
 
 
@@ -39,6 +39,15 @@ def test_rw_correct_hand_value():
     assert rep.mean == pytest.approx(2.4)        # 3 / (1/2 + 1/2 + 1/4)
     assert rep.mean_degree == pytest.approx(2.4)
     assert rep.technique == "rw-corrected"
+
+
+def test_report_mean_degree_is_its_distribution_mean():
+    assert "mean_degree" not in [f.name for f in fields(EstimationReport)]
+    trace = _trace([2, 2, 4, 3])
+    for rep in (rw_correct(trace), mhrw_correct(trace), bfs_correct(trace, 0.5)):
+        assert rep.mean_degree == rep.distribution.mean()
+    scheme = NeighborhoodScheme("trivial", 1)
+    assert arbitrary_topology_estimate(PATH3, [1.0, 2.0, 1.0], 0, scheme).mean_degree is None
 
 
 def test_rw_correct_regular_trace_is_plain_mean():

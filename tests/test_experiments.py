@@ -7,7 +7,7 @@ import math
 import random
 import re
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -16,7 +16,7 @@ from crawlbias import (FIFO, ConvergenceError, DegreeDistribution, Graph, assign
                        assortativity, bfs_correct, cli, configuration_model, degree_distribution,
                        degree_sequence_from_distribution, exact_step_distribution,
                        largest_component_nodes, load_edge_list, mean_q_of_f, rmse_compare,
-                       stub_level_traversal, trace_from_csv)
+                       SampleTrace, stub_level_traversal, trace_from_csv)
 from crawlbias.experiments import (BIAS_COLUMNS, CORRECTION_COLUMNS, MODES, SWEEP_COLUMNS,
                                    TECHNIQUES, ConfigError, ExperimentConfig, GraphSource,
                                    TechniqueSpec, derive_seed, parse_pk_spec,
@@ -683,6 +683,18 @@ def test_cli_sample_from_pk(tmp_path):
     assert len(body) == 25
 
 
+def test_every_technique_records_its_start_first():
+    # a trace states its start once, as its first record: no field repeats it
+    assert [f.name for f in fields(SampleTrace)] == [
+        "technique", "nodes", "degrees", "with_replacement", "coverage", "x_values", "revivals"]
+    g = configuration_model([1, 1, 2, 2, 3, 3, 4, 6], random.Random(0))
+    for name, tech in TECHNIQUES.items():
+        spec = TechniqueSpec(name, tech.param.default if tech.param else None)
+        trace = run_technique(g, [2], spec, 5, random.Random(1))
+        assert trace.seed_node == trace.nodes[0]
+        assert trace.nodes[0] == 2 or name == "wwor"  # wwor starts at its first draw
+
+
 def test_cli_sample_seed_node_is_a_file_id(tmp_path, capsys):
     edge_file = tmp_path / "g.txt"
     edge_file.write_text("43 7\n7 12\n12 43\n5 43\n90 5\n")  # dense ids 0..4 differ from these
@@ -980,6 +992,18 @@ def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
                                "mode": "compare", "depth": 0}))
     assert _run_cli(["compare", "--config", str(bad)]) == 2
     assert "depth must be >= 1" in capsys.readouterr().err
+    # a trace file that passes a walk off as a crawl, or holds an x no estimator can use,
+    # fails and names what is wrong (the walk on a triangle repeats a node)
+    walk, crawl_file = trace_file.read_text(), tmp_path / "crawl.csv"
+    for text, named in (
+            (walk.replace("with_replacement=true", "with_replacement=True"),
+             "line 1: with_replacement 'True' is not true or false"),
+            (walk.replace("with_replacement=true", "with_replacement=false"), "is at positions"),
+            ("# f=0.5\nposition,node,degree,x_value\n0,0,2,nan\n1,1,2,1\n",
+             "line 3: x_value 'nan' is not a finite number")):
+        crawl_file.write_text(text)
+        assert _run_cli(["correct", "--trace", str(crawl_file), "--method", "bfs"]) == 2
+        assert named in capsys.readouterr().err
     # coverages that round to one budget would sample one prefix twice, in every mode
     # that samples a grid (the sweep at its unrewired target, here)
     shared = {"graph": {"generate": {"pk": "powerlaw:2.5:2:50", "nodes": 500}},

@@ -2,6 +2,7 @@
 
 import io
 import random
+import re
 from collections import Counter, deque
 
 import pytest
@@ -544,8 +545,7 @@ def test_trace_csv_roundtrip():
 
 
 def test_trace_csv_with_x_values():
-    trace = SampleTrace("rw", 0, [0, 1, 0], [2, 3, 2], True, 0.5,
-                        x_values=[1.0, 0.0, 1.0])
+    trace = SampleTrace("rw", [0, 1, 0], [2, 3, 2], True, 0.5, x_values=[1.0, 0.0, 1.0])
     buf = io.StringIO()
     trace_to_csv(trace, buf)
     back = trace_from_csv(io.StringIO(buf.getvalue()))
@@ -567,3 +567,30 @@ def test_trace_csv_rejects_garbage():
         trace_from_csv(io.StringIO("position,node,x_value,degree\n0,1,7,3\n1,2,7,1\n2,3,7,2\n"))
     with pytest.raises(ValueError, match="trace header must be"):
         trace_from_csv(io.StringIO("# technique=bfs f=0.5\n0,1,3,\n1,2,1,\n2,3,2,\n"))
+    # a value no estimator can use fails, naming its line and its column or key
+    head = "position,node,degree,x_value\n"
+    for text, message in (
+            (head + "0,1,2,nan\n1,2,3,1\n", "line 2: x_value 'nan' is not a finite number"),
+            (head + "0,1,2,1\n1,2,3,inf\n", "line 3: x_value 'inf' is not a finite number"),
+            (head + "0,1,2,\n1,2,-3,\n", "line 3: degree '-3' is not an integer >= 0"),
+            (head + "0,1,2.5,\n", "line 2: degree '2.5' is not an integer >= 0"),
+            (head + "0,a,2,\n", "line 2: node 'a' is not an integer"),
+            ("# seed_node=abc\n" + head + "0,1,2,\n",
+             "line 1: seed_node 'abc' is not the first record's node 1"),
+            ("# seed_node=2\n" + head + "0,1,2,\n1,2,3,\n",
+             "line 1: seed_node '2' is not the first record's node 1"),
+            ("# technique=ff revivals=abc\n" + head + "0,1,2,\n",
+             "line 1: revivals 'abc' is not an integer >= 0"),
+            ("# f=abc\n" + head + "0,1,2,\n", "line 1: f 'abc' is not a number in (0, 1]"),
+            ("# f=1.5\n" + head + "0,1,2,\n", "line 1: f '1.5' is not a number in (0, 1]"),
+            # the prefix correction reads records in order: positions count 0, 1, 2, ...
+            (head + "7,1,2,\n3,2,3,\n", "line 2: position '7' is not 0"),
+            (head + "0,1,2,\n2,2,3,\n", "line 3: position '2' is not 1"),
+            # a crawl lists each node once, and a walk says exactly that it is one
+            (head + "0,1,2,\n1,1,2,\n", "node 1 is at positions 0 and 1"),
+            ("# with_replacement=false\n" + head + "0,1,2,\n1,2,3,\n2,1,2,\n",
+             "node 1 is at positions 0 and 2"),
+            ("# with_replacement=True\n" + head + "0,1,2,\n1,1,2,\n",
+             "line 1: with_replacement 'True' is not true or false")):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            trace_from_csv(io.StringIO(text))
