@@ -12,11 +12,11 @@ from pathlib import Path
 
 import pytest
 
-from crawlbias import (FIFO, ConvergenceError, DegreeDistribution, Graph, assign_stub_indices,
-                       assortativity, bfs_correct, cli, configuration_model, degree_distribution,
-                       degree_sequence_from_distribution, exact_step_distribution,
-                       largest_component_nodes, load_edge_list, mean_q_of_f, rmse_compare,
-                       SampleTrace, stub_level_traversal, trace_from_csv)
+from crawlbias import (FIFO, ConvergenceError, DegreeDistribution, Graph, SampleTrace,
+                       assign_stub_indices, assortativity, bfs_correct, cli, configuration_model,
+                       degree_distribution, degree_sequence_from_distribution,
+                       exact_step_distribution, largest_component_nodes, load_edge_list,
+                       mean_q_of_f, rmse_compare, stub_level_traversal, trace_from_csv)
 from crawlbias.experiments import (BIAS_COLUMNS, CORRECTION_COLUMNS, MODES, SWEEP_COLUMNS,
                                    TECHNIQUES, ConfigError, ExperimentConfig, GraphSource,
                                    TechniqueSpec, derive_seed, parse_pk_spec,
