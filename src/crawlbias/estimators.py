@@ -58,8 +58,6 @@ def rw_correct(trace: SampleTrace, x: Sequence[float] | None = None) -> Estimati
     corrected degree distribution reweights the observed mix by 1/k. Being a
     ratio estimator, the output is invariant under duplicating the trace.
     """
-    if not trace.nodes:
-        raise ValueError("empty trace")
     if min(trace.degrees) <= 0:
         raise ValueError("zero-degree record: 1/k weight undefined")
     return _reweight("rw-corrected", trace, x, empirical_q(trace), lambda k: k)
@@ -83,8 +81,6 @@ def _reweight(technique: str, trace: SampleTrace, x: Sequence[float] | None,
 def mhrw_correct(trace: SampleTrace, x: Sequence[float] | None = None) -> EstimationReport:
     """Plain mean: the degree-corrected walk already samples uniformly, so every
     record weighs 1 in the reweighting rw_correct and bfs_correct use too."""
-    if not trace.nodes:
-        raise ValueError("empty trace")
     return _reweight("mhrw", trace, x, empirical_q(trace), lambda k: 1.0)
 
 
@@ -103,8 +99,6 @@ def bfs_correct(trace: SampleTrace, f_real: float, x: Sequence[float] | None = N
     """
     if trace.with_replacement:
         raise ValueError("coverage-based correction needs a without-replacement trace")
-    if not trace.nodes:
-        raise ValueError("empty trace")
     if not 0.0 < f_real <= 1.0:
         raise ValueError("f_real must lie in (0, 1]")
     if min(trace.degrees) <= 0:

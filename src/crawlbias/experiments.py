@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import json
 import math
 import os
@@ -672,6 +673,8 @@ def trace_to_csv(trace: SampleTrace, out: IO[str], labels: Sequence[int] | None 
     """Write a trace as CSV with one '#' metadata line before the header.
 
     With labels, node ids (seed_node and the node column) are written as labels[id].
+    Nothing reaches out unless trace_from_csv reads the text back, so a trace the
+    reader would refuse fails here, with the reader's message.
     """
     def name(v: int) -> int:
         return labels[v] if labels is not None else v
@@ -684,28 +687,32 @@ def trace_to_csv(trace: SampleTrace, out: IO[str], labels: Sequence[int] | None 
     xs = trace.x_values if trace.x_values is not None else [None] * len(trace.nodes)
     rows = [{"position": i, "node": name(v), "degree": k, "x_value": x}
             for i, (v, k, x) in enumerate(zip(trace.nodes, trace.degrees, xs))]
-    write_rows_csv(rows, TRACE_COLUMNS, out, metadata=[meta])
+    buf = io.StringIO()
+    write_rows_csv(rows, TRACE_COLUMNS, buf, metadata=[meta])
+    trace_from_csv(buf.getvalue().splitlines())
+    out.write(buf.getvalue())
 
 
 def trace_from_csv(source: str | IO[str] | Iterable[str]) -> SampleTrace:
     """Read a trace written by trace_to_csv. Node ids are kept as written.
 
     The header must be trace_to_csv's, TRACE_COLUMNS, so that no column is read
-    as another and no record is taken for the header. A value no estimator can
-    use fails, naming its line and its column or key: positions count 0, 1, 2, ...
-    in record order; degrees are integers >= 0; x_value is a finite number, on
-    every row or on none; f lies in (0, 1]; with_replacement is true or false,
-    and false (the default) lists each node once; seed_node, which the trace
-    does not store, must be the first record's node.
+    as another and no record is taken for the header; a '#' line's key=value
+    tokens use TRACE_KEYS, each once. A value no estimator can use fails, naming its
+    line and its column or key: positions count 0, 1, 2, ... in record order;
+    degrees are integers >= 0; x_value is finite, on every row or on none; f lies
+    in (0, 1]; with_replacement is true or false, and false (the default) lists each
+    node once; rng_seed is an integer; seed_node must be the first record's node.
     """
     if isinstance(source, str):
         with open(source, "r", encoding="utf-8") as fh:
             return trace_from_csv(fh)
-    meta: dict[str, str] = {}
-    meta_line: dict[str, int] = {}
+    meta: dict[str, tuple[str, int]] = {}  # key -> (text, line)
     nodes: list[int] = []
     degrees: list[int] = []
     xs: list[float | None] = []
+    first: dict[int, int] = {}  # node -> its first position
+    repeat = ""                 # the first record that repeats a node
     header_seen = False
     for lineno, line in enumerate(source, 1):
         text = line.strip()
@@ -715,7 +722,11 @@ def trace_from_csv(source: str | IO[str] | Iterable[str]) -> SampleTrace:
             for tok in text[1:].split():
                 if "=" in tok:
                     key, val = tok.split("=", 1)
-                    meta[key], meta_line[key] = val, lineno
+                    _check_keys({key: val}, TRACE_KEYS, f"trace line {lineno}")
+                    if key in meta:
+                        raise ValueError(f"line {lineno}: {key} is {val!r} here and "
+                                         f"{meta[key][0]!r} on line {meta[key][1]}")
+                    meta[key] = val, lineno
             continue
         if not header_seen:
             if text.split(",") != TRACE_COLUMNS:
@@ -730,12 +741,13 @@ def trace_from_csv(source: str | IO[str] | Iterable[str]) -> SampleTrace:
         at = f"line {lineno}:"
         _parse(f"{at} position", position, int, len(nodes).__eq__,
                f"{len(nodes)}: positions count 0, 1, 2, ... in record order")
-        nodes.append(_parse(f"{at} node", node, int, None, "an integer"))
+        v = _parse(f"{at} node", node, int, None, "an integer")
+        if first.setdefault(v, len(nodes)) != len(nodes) and not repeat:
+            repeat = f"{at} node {v} is at positions {first[v]} and {len(nodes)}"
+        nodes.append(v)
         degrees.append(_parse(f"{at} degree", degree, int, (0).__le__, "an integer >= 0"))
         xs.append(_parse(f"{at} x_value", x, float, math.isfinite, "a finite number")
                   if x else None)
-    if not nodes:
-        raise ValueError("trace file holds no records")
     blank = xs.count(None)
     if 0 < blank < len(xs):
         raise ValueError(f"x_value is blank on {blank} of {len(xs)} trace rows; "
@@ -745,29 +757,21 @@ def trace_from_csv(source: str | IO[str] | Iterable[str]) -> SampleTrace:
              what: str, default: object) -> object:
         if key not in meta:
             return default
-        return _parse(f"line {meta_line[key]}: {key}", meta[key], parse, ok, what)
+        return _parse(f"line {meta[key][1]}: {key}", meta[key][0], parse, ok, what)
 
-    read("seed_node", int, nodes[0].__eq__, f"the first record's node {nodes[0]}", None)
     # f=nan, as trace_to_csv writes an unknown coverage, reads as no f
     coverage = read("f", float, lambda f: math.isnan(f) or 0.0 < f <= 1.0,
                     "a number in (0, 1]", math.nan)
     with_replacement = read("with_replacement", str, ("true", "false").__contains__,
                             "true or false", "false") == "true"
-    if not with_replacement:
-        first: dict[int, int] = {}
-        for i, v in enumerate(nodes):
-            if first.setdefault(v, i) != i:
-                raise ValueError(f"node {v} is at positions {first[v]} and {i}, but a trace "
-                                 "without with_replacement=true lists each node once")
-    return SampleTrace(
-        technique=meta.get("technique", "unknown"),
-        nodes=nodes,
-        degrees=degrees,
-        with_replacement=with_replacement,
-        coverage=coverage,
-        x_values=None if blank else xs,
-        revivals=read("revivals", int, (0).__le__, "an integer >= 0", 0),
-    )
+    if repeat and not with_replacement:
+        raise ValueError(f"{repeat}, but only a with_replacement=true trace repeats a node")
+    read("rng_seed", int, None, "an integer", None)
+    trace = SampleTrace(read("technique", str, None, "", "unknown"), nodes, degrees,
+                        with_replacement, coverage, x_values=None if blank else xs,
+                        revivals=read("revivals", int, (0).__le__, "an integer >= 0", 0))
+    read("seed_node", int, nodes[0].__eq__, f"the first record's node {nodes[0]}", None)
+    return trace
 
 
 def _parse(where: str, text: str, parse: Callable[[str], object],
@@ -784,6 +788,7 @@ def _parse(where: str, text: str, parse: Callable[[str], object],
 
 
 TRACE_COLUMNS = ["position", "node", "degree", "x_value"]
+TRACE_KEYS = ("technique", "seed_node", "f", "with_replacement", "revivals", "rng_seed")
 BIAS_COLUMNS = ["technique", "f", "replicas", "empirical_mean", "empirical_std",
                 "analytic_mean", "rw_mean", "true_mean", "flagged"]
 CORRECTION_COLUMNS = ["f", "replica", "sampled_mean", "bfs_corrected", "rw_corrected",

@@ -36,6 +36,15 @@ class SampleTrace:
     x_values: list[float] | None = None
     revivals: int = 0
 
+    def __post_init__(self) -> None:
+        # the O(1) shape every estimator relies on; a trace file's value rules are the reader's
+        if not self.nodes:
+            raise ValueError("empty trace: a trace holds at least one record")
+        xs = self.nodes if self.x_values is None else self.x_values
+        if not len(self.nodes) == len(self.degrees) == len(xs):
+            raise ValueError(f"ragged trace: {len(self.nodes)} nodes, {len(self.degrees)} degrees, "
+                             f"{len(xs)} x values; a record has one degree, one x_value or none")
+
     @property
     def seed_node(self) -> int:
         """The start: every sampler records it first."""

@@ -1004,6 +1004,16 @@ def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
         crawl_file.write_text(text)
         assert _run_cli(["correct", "--trace", str(crawl_file), "--method", "bfs"]) == 2
         assert named in capsys.readouterr().err
+    # a mistyped '#' key fails naming itself, rather than running with its default, and
+    # so does a key stated twice
+    for text, named in (
+            (walk.replace("technique=", "tecnique="), "trace line 1: 'tecnique'"),
+            (walk.replace("revivals=0", "revival=1"), "trace line 1: 'revival'"),
+            (walk.replace(" f=", " fraction="), "trace line 1: 'fraction'"),
+            (walk.replace(" rng_seed=", " f=0.9 rng_seed="), "line 1: f is '0.9' here and")):
+        crawl_file.write_text(text)
+        assert _run_cli(["correct", "--trace", str(crawl_file)]) == 2
+        assert named in capsys.readouterr().err
     # coverages that round to one budget would sample one prefix twice, in every mode
     # that samples a grid (the sweep at its unrewired target, here)
     shared = {"graph": {"generate": {"pk": "powerlaw:2.5:2:50", "nodes": 500}},

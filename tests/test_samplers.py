@@ -1,9 +1,11 @@
 """Crawling techniques, the stub-level traversal, and trace serialization."""
 
 import io
+import math
 import random
 import re
 from collections import Counter, deque
+from dataclasses import replace
 
 import pytest
 
@@ -13,6 +15,7 @@ from crawlbias import (FIFO, LIFO, DegreeDistribution, Graph, QueueDiscipline, S
                        forest_fire, largest_component_nodes, mhrw, random_walk, randomized_fifo,
                        snowball, stub_level_traversal, trace_from_csv, trace_to_csv,
                        weighted_without_replacement)
+from crawlbias.experiments import TECHNIQUES, TechniqueSpec, run_technique, truncated_power_law
 from crawlbias.samplers import _randbelow
 
 PATH3 = Graph.from_edges(3, [(0, 1), (1, 2)])
@@ -523,27 +526,6 @@ def test_stub_traversal_discipline_validation():
 
 # --- trace serialization ------------------------------------------------------
 
-def test_trace_csv_roundtrip():
-    g = _config_graph(seed=31)
-    seed = sorted(largest_component_nodes(g))[0]
-    for trace in (bfs(g, seed, 25), forest_fire(g, seed, 250, 0.3, random.Random(4))):
-        buf = io.StringIO()
-        trace_to_csv(trace, buf, rng_seed=77)
-        text = buf.getvalue()
-        assert text.startswith("#")
-        assert "position,node,degree,x_value" in text
-        back = trace_from_csv(io.StringIO(text))
-        assert back.nodes == trace.nodes
-        assert back.degrees == trace.degrees
-        assert back.technique == trace.technique
-        assert back.coverage == pytest.approx(trace.coverage)
-        assert not back.with_replacement
-        assert back.revivals == trace.revivals
-    assert trace.revivals > 0
-    no_counter = text.replace(f" revivals={trace.revivals}", "")
-    assert trace_from_csv(io.StringIO(no_counter)).revivals == 0
-
-
 def test_trace_csv_with_x_values():
     trace = SampleTrace("rw", [0, 1, 0], [2, 3, 2], True, 0.5, x_values=[1.0, 0.0, 1.0])
     buf = io.StringIO()
@@ -551,6 +533,68 @@ def test_trace_csv_with_x_values():
     back = trace_from_csv(io.StringIO(buf.getvalue()))
     assert back.x_values == [1.0, 0.0, 1.0]
     assert back.with_replacement
+
+
+def test_trace_csv_roundtrip():
+    # what trace_to_csv writes, trace_from_csv reads back as the same trace, and the
+    # read-back writes the same bytes; only coverage passes through '.12g'
+    seq = degree_sequence_from_distribution(truncated_power_law(2.5, 2, 100), 2000)
+    g = configuration_model(seq, random.Random(2))
+    component = sorted(largest_component_nodes(g))
+    traces = []
+    for name, tech in TECHNIQUES.items():
+        spec = TechniqueSpec(name, tech.param.default if tech.param else None)
+        traces.append(run_technique(g, component, spec, 1000, random.Random(len(traces))))
+    walk = random_walk(g, component[0], 200, random.Random(9))
+    traces.append(replace(walk, x_values=[k / 8 - 0.25 for k in walk.degrees]))
+    assert any(t.revivals for t in traces) and any(t.with_replacement for t in traces)
+    for trace in traces:
+        buf = io.StringIO()
+        trace_to_csv(trace, buf, rng_seed=5)
+        back = trace_from_csv(io.StringIO(buf.getvalue()))
+        for field in ("technique", "nodes", "degrees", "with_replacement", "revivals",
+                      "x_values"):
+            assert getattr(back, field) == getattr(trace, field), (trace.technique, field)
+        assert back.coverage == float(f"{trace.coverage:.12g}")
+        again = io.StringIO()
+        trace_to_csv(back, again, rng_seed=5)
+        assert again.getvalue() == buf.getvalue()
+    text = buf.getvalue()
+    assert text.startswith("#") and "\nposition,node,degree,x_value\n" in text
+    # a file without the revival counter reads as none
+    revived = next(t for t in traces if t.revivals)
+    buf = io.StringIO()
+    trace_to_csv(revived, buf)
+    no_counter = buf.getvalue().replace(f" revivals={revived.revivals}", "")
+    assert trace_from_csv(io.StringIO(no_counter)).revivals == 0
+
+
+def test_trace_to_csv_refuses_what_the_reader_refuses():
+    # the writer reads its own text back before writing, so it names the line and the
+    # column or key as the reader would, and out stays empty
+    for trace, message in (
+            (SampleTrace("rw", [0, 1, 2], [2, 3, 2], True, 0.5, x_values=[1.0, math.nan, 2.0]),
+             "line 4: x_value 'nan' is not a finite number"),
+            (SampleTrace("bfs", [0, 1], [2, -1], False, 0.5),
+             "line 4: degree '-1' is not an integer >= 0"),
+            (SampleTrace("bfs", [0, 1, 0], [2, 3, 2], False, 0.5),
+             "line 5: node 0 is at positions 0 and 2"),
+            (SampleTrace("bfs", [0, 1], [2, 3], False, 0.0),
+             "line 1: f '0' is not a number in (0, 1]")):
+        out = io.StringIO()
+        with pytest.raises(ValueError, match=re.escape(message)):
+            trace_to_csv(trace, out)
+        assert out.getvalue() == ""
+
+
+def test_sample_trace_states_its_shape():
+    # at least one record, each with one degree and one x_value or none
+    with pytest.raises(ValueError, match="empty trace"):
+        SampleTrace("bfs", [], [], False, 0.5)
+    with pytest.raises(ValueError, match="ragged trace: 3 nodes, 2 degrees"):
+        SampleTrace("rw", [0, 1, 0], [2, 3], True, 0.5)
+    with pytest.raises(ValueError, match="ragged trace: 2 nodes, 2 degrees, 1 x values"):
+        SampleTrace("bfs", [0, 1], [2, 3], False, 0.5, x_values=[1.0])
 
 
 def test_trace_csv_rejects_garbage():
@@ -591,6 +635,18 @@ def test_trace_csv_rejects_garbage():
             ("# with_replacement=false\n" + head + "0,1,2,\n1,2,3,\n2,1,2,\n",
              "node 1 is at positions 0 and 2"),
             ("# with_replacement=True\n" + head + "0,1,2,\n1,1,2,\n",
-             "line 1: with_replacement 'True' is not true or false")):
+             "line 1: with_replacement 'True' is not true or false"),
+            # a file states each key once, and a key it does not know is a typo
+            ("# f=0.5 f=0.9\n" + head + "0,1,2,\n", "line 1: f is '0.9' here and '0.5' on line 1"),
+            ("# technique=bfs f=0.5\n" + head + "0,1,2,\n# f=0.5\n",
+             "line 4: f is '0.5' here and '0.5' on line 1"),
+            ("# tecnique=rw with_replacement=true\n" + head + "0,1,2,\n1,1,2,\n",
+             "unknown key(s) in trace line 1: 'tecnique'; known keys: technique, seed_node, "
+             "f, with_replacement, revivals, rng_seed"),
+            ("# technique=ff revival=1\n" + head + "0,1,2,\n",
+             "unknown key(s) in trace line 1: 'revival'"),
+            ("# a bfs trace\n# fraction=0.15\n" + head + "0,1,2,\n",
+             "unknown key(s) in trace line 2: 'fraction'"),
+            ("# rng_seed=abc\n" + head + "0,1,2,\n", "line 1: rng_seed 'abc' is not an integer")):
         with pytest.raises(ValueError, match=re.escape(message)):
             trace_from_csv(io.StringIO(text))
