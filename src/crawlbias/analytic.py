@@ -94,7 +94,7 @@ def t_of_f(d: DegreeDistribution, f: float, *, tol: float = 1e-10, max_iter: int
     increasing wherever some positive-degree class has mass.
     """
     fmax = reachable_fraction(d)
-    if f < 0.0 or f > fmax + 1e-12:
+    if not 0.0 <= f <= fmax + 1e-12:  # NaN fails too
         raise ValueError(f"coverage {f!r} outside reachable range [0, {fmax}]")
     if f <= 0.0:
         return 0.0

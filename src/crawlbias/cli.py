@@ -104,7 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="fraction of the graph covered, --method bfs only "
                         "(default: the trace's f)")
     p.add_argument("--method", choices=list(_METHODS), default=None,
-                   help="default: the one for the trace's technique, else bfs")
+                   help="default: the method of the trace's technique in the table")
     p.set_defaults(func=cmd_correct)
 
     p = sub.add_parser("compare", parents=[configured],
@@ -183,8 +183,9 @@ def cmd_sample(args: argparse.Namespace) -> int:
             component = [g.labels.index(args.seed_node)]
         except ValueError:
             raise ConfigError(f"unknown node {args.seed_node}: no such id in the graph") from None
-    else:
-        component = sorted(largest_component_nodes(g))
+    else:  # a cleaned edge list is its largest component, ids 0..n-1, as in _shared_setup
+        component = (range(g.node_count) if args.edgelist is not None and not args.raw
+                     else sorted(largest_component_nodes(g)))
     trace = experiments.run_technique(g, component, tech, args.budget, rng)
     with _open_out(args.out) as out:
         trace_to_csv(trace, out, labels=g.labels, rng_seed=args.rng_seed)
@@ -216,16 +217,17 @@ def _bfs_method(trace: SampleTrace, f: float | None) -> EstimationReport:
     return bfs_correct(trace, f)
 
 
-#: correct's methods, and the one a trace of each technique takes by its law
+#: correct's methods; a trace's technique picks one by its law, through experiments.LEVELS
 _METHODS = {"bfs": _bfs_method, "rw": lambda trace, _: rw_correct(trace),
            "mhrw": lambda trace, _: mhrw_correct(trace)}
-_TECHNIQUE_METHODS = {name: {"walk": "rw", "uniform walk": "mhrw"}.get(tech.law, "bfs")
-                      for name, tech in experiments.TECHNIQUES.items()}
 
 
 def cmd_correct(args: argparse.Namespace) -> int:
     trace = trace_from_csv(args.trace)
-    method = args.method or _TECHNIQUE_METHODS.get(trace.technique, "bfs")
+    tech = experiments.TECHNIQUES.get(trace.technique)
+    if args.method is None and tech is None:
+        raise ConfigError(f"trace technique {trace.technique!r} is not a technique; pass --method")
+    method = args.method or experiments.LEVELS.get(tech.law, "bfs")
     _check_flags(("--f", args.f is not None, "--method bfs", f"--method {method}"))
     report = _METHODS[method](trace, args.f)
     row = {

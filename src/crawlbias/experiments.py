@@ -485,15 +485,15 @@ def _mean_cell(trace: SampleTrace, k: int, n: int, budget: int) -> tuple[float, 
     return sum(trace.degrees[:k]) / k, k < budget
 
 
-#: The technique laws whose bias row takes a level of the degree law as its reference;
-#: every other law takes the analytic curve.
-_LEVELS = ("walk", "uniform walk")
+#: The technique laws whose bias row takes a level of the degree law as its reference, and
+#: correct's method for each; every other law takes the analytic curve and the bfs method.
+LEVELS = {"walk": "rw", "uniform walk": "mhrw"}
 
 
 def _curve(cfg: ExperimentConfig, law: DegreeDistribution) -> dict[float, float]:
     """mean_q_of_f(law, f) per f, when a technique takes the curve as its reference.
     It is solved before any replica runs, so an f that law cannot reach fails first."""
-    if all(TECHNIQUES[tech.name].law in _LEVELS for tech in cfg.techniques):
+    if all(TECHNIQUES[tech.name].law in LEVELS for tech in cfg.techniques):
         return {}
     return {f: analytic.mean_q_of_f(law, f) for f in cfg.f_grid}
 
@@ -506,7 +506,7 @@ def _bias_rows(cfg: ExperimentConfig, shared: Setup | None, law: DegreeDistribut
     results = _map_replicas(partial(_replica_cells, _mean_cell), cfg, shared)
     rw_mean = analytic.rw_expected(law)[1]
     true_mean = law.mean()
-    references = dict(zip(_LEVELS, (rw_mean, true_mean)))
+    references = dict(zip(LEVELS, (rw_mean, true_mean)))
     rows = []
     for tech in cfg.techniques:
         reference = references.get(TECHNIQUES[tech.name].law)
@@ -646,7 +646,7 @@ def run_assortativity_sweep(cfg: ExperimentConfig) -> list[dict[str, object]]:
     return rows
 
 
-def write_rows_csv(rows: Sequence[Mapping[str, object]], columns: Sequence[str],
+def write_rows_csv(rows: Iterable[Mapping[str, object]], columns: Sequence[str],
                    out: IO[str], metadata: Sequence[str] = ()) -> None:
     """Deterministic CSV: '#' metadata lines, header, then rows in order."""
     for line in metadata:
@@ -685,11 +685,12 @@ def trace_to_csv(trace: SampleTrace, out: IO[str], labels: Sequence[int] | None 
     if rng_seed is not None:
         meta += f" rng_seed={rng_seed}"
     xs = trace.x_values if trace.x_values is not None else [None] * len(trace.nodes)
-    rows = [{"position": i, "node": name(v), "degree": k, "x_value": x}
-            for i, (v, k, x) in enumerate(zip(trace.nodes, trace.degrees, xs))]
+    rows = ({"position": i, "node": name(v), "degree": k, "x_value": x}
+            for i, (v, k, x) in enumerate(zip(trace.nodes, trace.degrees, xs)))
     buf = io.StringIO()
     write_rows_csv(rows, TRACE_COLUMNS, buf, metadata=[meta])
-    trace_from_csv(buf.getvalue().splitlines())
+    buf.seek(0)
+    trace_from_csv(buf)
     out.write(buf.getvalue())
 
 

@@ -49,6 +49,10 @@ def test_reachable_fraction_with_isolated_nodes():
     assert f_of_t(d, 1.0) == pytest.approx(0.8)
     with pytest.raises(ValueError):
         t_of_f(d, 0.9)
+    # every comparison with NaN is false, so NaN must be refused, not read as full coverage
+    for fn in (t_of_f, mean_q_of_f):
+        with pytest.raises(ValueError, match="outside reachable range"):
+            fn(d, math.nan)
 
 
 def test_t_of_f_regular_closed_form():

@@ -1130,7 +1130,8 @@ def test_cli_trace_metadata_carries_coverage(tmp_path):
     assert not math.isnan(float(row["t_value"]))
 
 
-def test_every_technique_takes_its_parameter_reference_and_method_from_the_table(tmp_path):
+def test_every_technique_takes_its_parameter_reference_and_method_from_the_table(tmp_path,
+                                                                                  capsys):
     # what each law means: a bias row's reference, and correct's default method
     references = {"walk": "rw_mean", "uniform walk": "true_mean"}
     methods = {"traversal": "bfs", "draw": "bfs", "walk": "rw", "uniform walk": "mhrw"}
@@ -1162,9 +1163,20 @@ def test_every_technique_takes_its_parameter_reference_and_method_from_the_table
             assert _run_cli(["correct", "--trace", str(trace), "--out", str(outs[-1]),
                              *extra]) == 0
         assert outs[0].read_bytes() == outs[1].read_bytes()
-    # a trace of an unknown technique is corrected as a traversal; --f stays bfs's only
+    # a trace whose technique is not in the table takes no default method: it exits 2,
+    # naming the value and --method, and is corrected as given with --method. A mistyped
+    # walk is refused as such, not as a walk passed to the bfs method
     unknown, out = tmp_path / "unknown.csv", tmp_path / "unknown_corrected.csv"
-    unknown.write_text((tmp_path / "bfs.csv").read_text().replace("technique=bfs", "technique=x"))
-    assert _run_cli(["correct", "--trace", str(unknown), "--out", str(out)]) == 0
-    assert out.read_bytes() == (tmp_path / "bfs_corrected0.csv").read_bytes()
+    capsys.readouterr()
+    for name, old, new, value in (("bfs", "technique=bfs", "technique=x", "'x'"),
+                                  ("bfs", "technique=bfs ", "", "'unknown'"),
+                                  ("rw", "technique=rw", "technique=wr", "'wr'")):
+        unknown.write_text((tmp_path / f"{name}.csv").read_text().replace(old, new))
+        assert _run_cli(["correct", "--trace", str(unknown), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert value in err and "--method" in err and "without-replacement" not in err
+        assert _run_cli(["correct", "--trace", str(unknown), "--out", str(out),
+                         "--method", name]) == 0
+        assert out.read_bytes() == (tmp_path / f"{name}_corrected0.csv").read_bytes()
+    # --f stays bfs's only
     assert _run_cli(["correct", "--trace", str(tmp_path / "rw.csv"), "--f", "0.2"]) == 2
