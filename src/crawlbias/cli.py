@@ -15,7 +15,7 @@ from contextlib import contextmanager
 
 from . import experiments
 from .estimators import ConvergenceError, EstimationReport, bfs_correct, mhrw_correct, rw_correct
-from .graph import largest_component_nodes, load_edge_list, stats_row
+from .graph import assortativity, largest_component_nodes, load_edge_list, stats_row
 from .samplers import SampleTrace
 from .experiments import ConfigError, GraphSource, trace_from_csv, trace_to_csv
 
@@ -143,10 +143,10 @@ def cmd_stats(args: argparse.Namespace) -> int:
 def cmd_generate(args: argparse.Namespace) -> int:
     source = GraphSource("generate", pk=args.pk, nodes=args.nodes,
                          target_assortativity=args.assortativity)
-    g, achieved = source.build(random.Random(args.rng_seed))
+    g = source.build(random.Random(args.rng_seed))
     header = f"# pk {args.pk} nodes {args.nodes} rng_seed {args.rng_seed}"
-    if achieved is not None:
-        header += f" target_r {args.assortativity:.12g} achieved_r {achieved:.12g}"
+    if args.assortativity is not None:  # a rewired graph, whose r is defined
+        header += f" target_r {args.assortativity:.12g} achieved_r {assortativity(g):.12g}"
     with _open_out(args.out) as out:
         out.write(header + "\n")
         for u, v in g.edges():
@@ -173,7 +173,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
     if args.edgelist is not None:
         g = load_edge_list(args.edgelist, args.raw)
     else:
-        g = GraphSource("generate", pk=args.pk, nodes=args.nodes or 0).build(rng)[0]
+        g = GraphSource("generate", pk=args.pk, nodes=args.nodes or 0).build(rng)
     param = experiments.TECHNIQUES[args.technique].param
     value = getattr(args, args.technique, None)  # only the technique's own flag is left set
     tech = experiments.TechniqueSpec(args.technique,
@@ -226,7 +226,9 @@ def cmd_correct(args: argparse.Namespace) -> int:
     trace = trace_from_csv(args.trace)
     tech = experiments.TECHNIQUES.get(trace.technique)
     if args.method is None and tech is None:
-        raise ConfigError(f"trace technique {trace.technique!r} is not a technique; pass --method")
+        named = (f"trace technique {trace.technique!r} is not a technique" if trace.technique
+                 else "trace names no technique")
+        raise ConfigError(f"{named}; pass --method")
     method = args.method or experiments.LEVELS.get(tech.law, "bfs")
     _check_flags(("--f", args.f is not None, "--method bfs", f"--method {method}"))
     report = _METHODS[method](trace, args.f)

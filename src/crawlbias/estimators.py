@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from operator import mul
 from typing import Callable, Sequence
 
@@ -35,57 +35,46 @@ def empirical_q(trace: SampleTrace) -> DegreeDistribution:
     return DegreeDistribution.from_sequence(trace.degrees)
 
 
-def _resolve_x(trace: SampleTrace, x: Sequence[float] | None) -> Sequence[float]:
-    # explicit argument wins; then values carried on the trace; then degrees,
-    # as ints: k * w and sum(k) / n round exactly as with float(k)
-    if x is None:
-        x = trace.x_values
-    if x is None:
-        return trace.degrees
-    if len(x) != len(trace.nodes):
-        raise ValueError("x must supply one value per trace record")
-    return [float(v) for v in x]
-
-
-def rw_correct(trace: SampleTrace, x: Sequence[float] | None = None) -> EstimationReport:
+def rw_correct(trace: SampleTrace) -> EstimationReport:
     """Undo stationary degree-proportional inclusion (random-walk samples).
 
     Every record is weighted by 1/k_v:
 
         x_hat = sum(x(v)/k_v) / sum(1/k_v)
 
-    With x omitted the estimate is the mean degree |S| / sum(1/k_v). The
-    corrected degree distribution reweights the observed mix by 1/k. Being a
-    ratio estimator, the output is invariant under duplicating the trace.
+    x is the trace's x_values, else the degree, whose estimate is the mean degree
+    |S| / sum(1/k_v). The corrected degree distribution reweights the observed
+    mix by 1/k. Being a ratio estimator, the output is invariant under
+    duplicating the trace.
     """
     if min(trace.degrees) <= 0:
         raise ValueError("zero-degree record: 1/k weight undefined")
-    return _reweight("rw-corrected", trace, x, empirical_q(trace), lambda k: k)
+    return _reweight("rw-corrected", trace, empirical_q(trace), lambda k: k)
 
 
-def _reweight(technique: str, trace: SampleTrace, x: Sequence[float] | None,
-              q: DegreeDistribution, inclusion: Callable[[int], float],
-              **diagnostics: object) -> EstimationReport:
+def _reweight(technique: str, trace: SampleTrace, q: DegreeDistribution,
+              inclusion: Callable[[int], float], **diagnostics: object) -> EstimationReport:
     """Hajek ratio under per-degree inclusion weights pi_k = inclusion(k): a
     degree-k record weighs 1/pi_k and p_hat_k is proportional to q_k / pi_k
-    (Sarndal, Swensson & Wretman 1992, ch. 5)."""
+    (Sarndal, Swensson & Wretman 1992, ch. 5). x is the trace's x_values, else
+    its degrees as ints: k * w and sum(k) / n round exactly as with float(k)."""
     pi = {k: inclusion(k) for k in q.support()}
     weight = {k: 1.0 / w for k, w in pi.items()}  # once per degree, not per record
-    xs = _resolve_x(trace, x)
+    xs = trace.degrees if trace.x_values is None else trace.x_values
     inv = weight.__getitem__
     est = sum(map(mul, xs, map(inv, trace.degrees))) / sum(map(inv, trace.degrees))
     p_hat = DegreeDistribution({k: qk / pi[k] for k, qk in q.items()}, normalize=True)
     return EstimationReport(technique, est, p_hat, **diagnostics)
 
 
-def mhrw_correct(trace: SampleTrace, x: Sequence[float] | None = None) -> EstimationReport:
+def mhrw_correct(trace: SampleTrace) -> EstimationReport:
     """Plain mean: the degree-corrected walk already samples uniformly, so every
     record weighs 1 in the reweighting rw_correct and bfs_correct use too."""
-    return _reweight("mhrw", trace, x, empirical_q(trace), lambda k: 1.0)
+    return _reweight("mhrw", trace, empirical_q(trace), lambda k: 1.0)
 
 
-def bfs_correct(trace: SampleTrace, f_real: float, x: Sequence[float] | None = None,
-                *, tol: float = 1e-8, max_iter: int = 500) -> EstimationReport:
+def bfs_correct(trace: SampleTrace, f_real: float, *, tol: float = 1e-8,
+                max_iter: int = 500) -> EstimationReport:
     """Correct an early traversal sample using its known coverage f_real.
 
     The scan time t is not observable, but it is pinned by consistency: the
@@ -106,7 +95,7 @@ def bfs_correct(trace: SampleTrace, f_real: float, x: Sequence[float] | None = N
     q_hat = empirical_q(trace)
     t_star, res_star, iterations = _solve_t(lambda t: _implied_f(q_hat, t) - f_real,
                                             tol, max_iter)
-    return _reweight("bfs-corrected", trace, x, q_hat, lambda k: _inclusion(t_star, k),
+    return _reweight("bfs-corrected", trace, q_hat, lambda k: _inclusion(t_star, k),
                      iterations=iterations, t_value=t_star, residual=res_star)
 
 
@@ -240,7 +229,8 @@ def rmse_compare(g: Graph, x: Sequence[float], replicas: int, rng: random.Random
         seed = rng.randrange(n)
         arb.append(arbitrary_topology_estimate(g, x, seed, scheme))
         trace = _make_trace("bfs", g, list(ball(g, seed, depth)), False)
-        corrected.append(bfs_correct(trace, len(trace) / n, [x[v] for v in trace.nodes]))
+        trace = replace(trace, x_values=[x[v] for v in trace.nodes])
+        corrected.append(bfs_correct(trace, trace.coverage))
     return [_rmse_row(arb, truth),
             _rmse_row(corrected, truth, sum(r.iterations for r in corrected) / replicas,
                       max(abs(r.residual) for r in corrected))]

@@ -186,22 +186,22 @@ class GraphSource:
         else:
             raise ConfigError(f"unknown graph source {self.kind!r}")
 
-    def build(self, rng: random.Random | None) -> tuple[Graph, float | None]:
+    def build(self, rng: random.Random | None) -> Graph:
         """The file with the default cleanup (a file draws nothing: rng None), or a
         configuration-model graph on the rounded degree sequence of pk, rewired to
-        target_assortativity when set; and the r its rewiring reached (None when not
-        rewired). A rewiring that misses its target raises ConfigError, naming that r."""
+        target_assortativity when set. A rewiring that misses its target raises
+        ConfigError, naming the r it reached."""
         if self.kind == "file":
-            return load_edge_list(self.path), None
+            return load_edge_list(self.path)
         g = configuration_model(degree_sequence_from_distribution(self.law, self.nodes), rng)
         target = self.target_assortativity
         if target is None:
-            return g, None
+            return g
         result = rewire_to_assortativity(g, target, rng)
         if not result.reached:
             raise ConfigError(f"rewiring toward assortativity {target:g} reached r = "
                               f"{result.achieved_r:.4g}, outside the tolerance {_TOLERANCE:g}")
-        return result.graph, result.achieved_r
+        return result.graph
 
 
 @dataclass
@@ -391,14 +391,14 @@ def _setup(g: Graph) -> Setup:
 def _shared_setup(cfg: ExperimentConfig) -> Setup | None:
     if cfg.source.kind != "file":
         return None
-    g = cfg.source.build(None)[0]
+    g = cfg.source.build(None)
     return g, range(g.node_count)
 
 
 def _replica_setup(cfg: ExperimentConfig, replica: int, shared: Setup | None) -> Setup:
     if shared is not None:
         return shared
-    return _setup(cfg.source.build(random.Random(derive_seed(cfg.seed, replica, "graph")))[0])
+    return _setup(cfg.source.build(random.Random(derive_seed(cfg.seed, replica, "graph"))))
 
 
 def _reference_law(cfg: ExperimentConfig, shared: Setup | None) -> DegreeDistribution:
@@ -541,7 +541,7 @@ def _correction_cell(trace: SampleTrace, k: int, n: int, budget: int) -> dict[st
     mean degree: rw_correct, and bfs_correct at its coverage f_real = k / n."""
     prefix = replace(trace, nodes=trace.nodes[:k], degrees=trace.degrees[:k], coverage=k / n)
     try:
-        rep = bfs_correct(prefix, k / n)
+        rep = bfs_correct(prefix, prefix.coverage)
         corrected, converged, iterations, residual = rep.mean, 1, rep.iterations, rep.residual
     except ConvergenceError as exc:            # recorded, not fatal
         corrected, converged, iterations, residual = None, 0, exc.iterations, exc.residual
@@ -703,7 +703,8 @@ def trace_from_csv(source: str | IO[str] | Iterable[str]) -> SampleTrace:
     line and its column or key: positions count 0, 1, 2, ... in record order;
     degrees are integers >= 0; x_value is finite, on every row or on none; f lies
     in (0, 1]; with_replacement is true or false, and false (the default) lists each
-    node once; rng_seed is an integer; seed_node must be the first record's node.
+    node once; rng_seed is an integer; seed_node must be the first record's node. A
+    trace with no technique= names the empty technique "", as technique= does.
     """
     if isinstance(source, str):
         with open(source, "r", encoding="utf-8") as fh:
@@ -768,7 +769,7 @@ def trace_from_csv(source: str | IO[str] | Iterable[str]) -> SampleTrace:
     if repeat and not with_replacement:
         raise ValueError(f"{repeat}, but only a with_replacement=true trace repeats a node")
     read("rng_seed", int, None, "an integer", None)
-    trace = SampleTrace(read("technique", str, None, "", "unknown"), nodes, degrees,
+    trace = SampleTrace(read("technique", str, None, "", ""), nodes, degrees,
                         with_replacement, coverage, x_values=None if blank else xs,
                         revivals=read("revivals", int, (0).__le__, "an integer >= 0", 0))
     read("seed_node", int, nodes[0].__eq__, f"the first record's node {nodes[0]}", None)

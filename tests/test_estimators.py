@@ -75,8 +75,6 @@ def test_rw_correct_rejects_bad_traces():
         rw_correct(_trace([]))
     with pytest.raises(ValueError, match="empty trace"):
         mhrw_correct(_trace([]))
-    with pytest.raises(ValueError, match="one value per trace record"):
-        rw_correct(_trace([2, 3]), x=[1.0])
 
 
 def test_rw_correct_degree_distribution():
@@ -183,10 +181,9 @@ def test_bfs_correct_general_attribute_weighting():
     assert rep.mean > 0.5
 
 
-def _per_record_mean(trace, x, inclusion):
+def _per_record_mean(trace, inclusion):
     """The Hajek ratio written record by record, as a float list per record."""
-    if x is None:
-        x = trace.x_values if trace.x_values is not None else trace.degrees
+    x = trace.x_values if trace.x_values is not None else trace.degrees
     xs = [float(v) for v in x]
     weight = {k: 1.0 / inclusion(k) for k in set(trace.degrees)}
     inv = [weight[k] for k in trace.degrees]
@@ -202,12 +199,11 @@ def test_streamed_reweighting_equals_per_record_formula():
         for _ in range(3):
             trace = bfs(g, comp[rng.randrange(len(comp))], max(2, int(f * len(comp))))
             carried = replace(trace, x_values=[rng.uniform(0.0, 9.0) for _ in trace.nodes])
-            explicit = [rng.uniform(-5.0, 50.0) for _ in trace.nodes]
-            for tr, x in ((trace, None), (carried, None), (carried, explicit)):
-                rep = rw_correct(tr, x)
-                assert rep.mean == _per_record_mean(tr, x, lambda k: k)
-                rep = bfs_correct(tr, tr.coverage, x)
-                assert rep.mean == _per_record_mean(tr, x, lambda k: _inclusion(rep.t_value, k))
+            for tr in (trace, carried):
+                rep = rw_correct(tr)
+                assert rep.mean == _per_record_mean(tr, lambda k: k)
+                rep = bfs_correct(tr, tr.coverage)
+                assert rep.mean == _per_record_mean(tr, lambda k: _inclusion(rep.t_value, k))
             assert mhrw_correct(trace).mean == sum(map(float, trace.degrees)) / len(trace)
 
 

@@ -316,6 +316,60 @@ def test_run_correction_eval_file_source_worker_invariant(tmp_path):
     assert len(serial) == 3 * 2 + 2
 
 
+def test_correction_mode_records_a_replica_that_does_not_converge(monkeypatch):
+    # a replica whose correction does not converge keeps its row, with the solver's
+    # diagnostics, and the avg row averages bfs_corrected over the converged ones only
+    from crawlbias import experiments
+
+    cfg = _bias_cfg(techniques=[], mode="correction", f_grid=[0.3], replicas=3)
+    clean = run_correction_eval(cfg)
+    calls = []
+
+    def fails_on(failing):
+        def correct(trace, f_real):
+            calls.append(f_real)
+            if len(calls) - 1 in failing:   # one f per replica: call r is replica r
+                raise ConvergenceError("no bracket", 7, 0.25)
+            return bfs_correct(trace, f_real)
+        return correct
+
+    monkeypatch.setattr(experiments, "bfs_correct", fails_on({1}))
+    rows = run_correction_eval(cfg)
+    assert rows[0] == clean[0] and rows[2] == clean[2]
+    assert {key: rows[1][key] for key in ("converged", "bfs_corrected", "iterations",
+                                          "residual")} == {
+        "converged": 0, "bfs_corrected": None, "iterations": 7, "residual": 0.25}
+    assert rows[1]["sampled_mean"] == clean[1]["sampled_mean"]
+    out = io.StringIO()
+    write_rows_csv(rows, CORRECTION_COLUMNS, out)
+    failed = next(row for row in csv.DictReader(io.StringIO(out.getvalue()))
+                  if row["replica"] == "1")
+    assert failed["bfs_corrected"] == "" and failed["converged"] == "0"
+    avg = rows[3]
+    assert avg["replica"] == "avg" and avg["converged"] == 2
+    assert avg["bfs_corrected"] == (clean[0]["bfs_corrected"] + clean[2]["bfs_corrected"]) / 2
+    assert avg["sampled_mean"] == clean[3]["sampled_mean"]
+    # none converges: the avg row has no corrected mean
+    calls.clear()
+    monkeypatch.setattr(experiments, "bfs_correct", fails_on({0, 1, 2}))
+    avg = run_correction_eval(cfg)[3]
+    assert avg["converged"] == 0 and avg["bfs_corrected"] is None
+
+
+def test_coverages_that_share_a_budget_fail_when_the_graph_is_built(tmp_path):
+    # README's example, run in this process: on 500 nodes, 0.2 and 0.2000000001 both
+    # sample 100, from a generated source and from a file source
+    cycle = tmp_path / "cycle.txt"
+    cycle.write_text("".join(f"{v} {(v + 1) % 500}\n" for v in range(500)))
+    message = "f_grid values 0.2 and 0.2000000001 both sample 100 of 500 nodes"
+    for source in (GraphSource("generate", pk="powerlaw:2.5:2:50", nodes=500),
+                   GraphSource("file", path=str(cycle))):
+        cfg = _bias_cfg(source=source, techniques=[TechniqueSpec("bfs")],
+                        f_grid=[0.2, 0.2000000001, 0.201], replicas=1)
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            run_bias_curves(cfg)
+
+
 def test_every_technique_run_is_a_prefix_of_a_longer_run():
     # bias and correction mode read each f's sample as the prefix of one run to the
     # largest budget. On this multigraph, with small components and many degree-1
@@ -358,7 +412,7 @@ def test_correction_mode_corrects_prefixes_of_bias_modes_bfs_trace(tmp_path):
              if row["f"] == 0.9 and row["replica"] != "avg"]
     assert len(short) == 3
     for row in short:
-        g = sparse.build(random.Random(derive_seed(3, row["replica"], "graph")))[0]
+        g = sparse.build(random.Random(derive_seed(3, row["replica"], "graph")))
         trace = run_technique(g, sorted(largest_component_nodes(g)), TechniqueSpec("bfs"),
                               round(0.9 * g.node_count),
                               random.Random(derive_seed(3, row["replica"], "bfs")))
@@ -452,7 +506,7 @@ def test_run_compare_rows(tmp_path):
     assert methods == {"arb-half_radius", "bfs-corrected"}
     # a file source is compared on the loaded file, with degrees as x
     edge_file = tmp_path / "g.txt"
-    g = cfg.source.build(random.Random(derive_seed(cfg.seed, 0, "graph")))[0]
+    g = cfg.source.build(random.Random(derive_seed(cfg.seed, 0, "graph")))
     edge_file.write_text("".join(f"{u} {v}\n" for u, v in g.edges()))
     on_file = run_compare(replace(cfg, source=GraphSource("file", path=str(edge_file))))
     loaded = load_edge_list(str(edge_file))
@@ -1163,13 +1217,15 @@ def test_every_technique_takes_its_parameter_reference_and_method_from_the_table
             assert _run_cli(["correct", "--trace", str(trace), "--out", str(outs[-1]),
                              *extra]) == 0
         assert outs[0].read_bytes() == outs[1].read_bytes()
-    # a trace whose technique is not in the table takes no default method: it exits 2,
-    # naming the value and --method, and is corrected as given with --method. A mistyped
-    # walk is refused as such, not as a walk passed to the bfs method
+    # a trace whose technique is not in the table, or that names none, takes no default
+    # method: it exits 2, naming the value (or its absence) and --method, and is corrected
+    # as given with --method. A mistyped walk is refused as such, not as a walk passed
+    # to the bfs method
     unknown, out = tmp_path / "unknown.csv", tmp_path / "unknown_corrected.csv"
     capsys.readouterr()
     for name, old, new, value in (("bfs", "technique=bfs", "technique=x", "'x'"),
-                                  ("bfs", "technique=bfs ", "", "'unknown'"),
+                                  ("bfs", "technique=bfs ", "", "names no technique"),
+                                  ("bfs", "technique=bfs", "technique=unknown", "'unknown'"),
                                   ("rw", "technique=rw", "technique=wr", "'wr'")):
         unknown.write_text((tmp_path / f"{name}.csv").read_text().replace(old, new))
         assert _run_cli(["correct", "--trace", str(unknown), "--out", str(out)]) == 2

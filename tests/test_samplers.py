@@ -567,6 +567,22 @@ def test_trace_csv_roundtrip():
     trace_to_csv(revived, buf)
     no_counter = buf.getvalue().replace(f" revivals={revived.revivals}", "")
     assert trace_from_csv(io.StringIO(no_counter)).revivals == 0
+    # a file that names no technique reads as the empty name, written back as technique=
+    unnamed = trace_from_csv(io.StringIO(no_counter.replace(f"technique={revived.technique} ", "")))
+    assert unnamed.technique == ""
+    buf = io.StringIO()
+    trace_to_csv(unnamed, buf)
+    assert buf.getvalue().startswith("# technique= seed_node=")
+    assert trace_from_csv(io.StringIO(buf.getvalue())) == unnamed
+
+
+def test_trace_csv_reads_blank_lines_as_nothing():
+    # blank lines between rows and at the end: the same trace as the file without them
+    buf = io.StringIO()
+    trace_to_csv(replace(bfs(PATH4, 1, 4), x_values=[0.5, 1.0, 1.5, 2.0]), buf)
+    text = buf.getvalue()
+    spaced = "".join(line + "\n\n" for line in text.splitlines()) + "  \n\n"
+    assert trace_from_csv(io.StringIO(spaced)) == trace_from_csv(io.StringIO(text))
 
 
 def test_trace_to_csv_refuses_what_the_reader_refuses():
