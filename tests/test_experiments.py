@@ -323,12 +323,12 @@ def test_correction_mode_records_a_replica_that_does_not_converge(monkeypatch):
 
     cfg = _bias_cfg(techniques=[], mode="correction", f_grid=[0.3], replicas=3)
     clean = run_correction_eval(cfg)
-    calls = []
 
     def fails_on(failing):
+        calls = iter(range(cfg.replicas))   # one f per replica: call r is replica r
+
         def correct(trace, f_real):
-            calls.append(f_real)
-            if len(calls) - 1 in failing:   # one f per replica: call r is replica r
+            if next(calls) in failing:
                 raise ConvergenceError("no bracket", 7, 0.25)
             return bfs_correct(trace, f_real)
         return correct
@@ -336,9 +336,8 @@ def test_correction_mode_records_a_replica_that_does_not_converge(monkeypatch):
     monkeypatch.setattr(experiments, "bfs_correct", fails_on({1}))
     rows = run_correction_eval(cfg)
     assert rows[0] == clean[0] and rows[2] == clean[2]
-    assert {key: rows[1][key] for key in ("converged", "bfs_corrected", "iterations",
-                                          "residual")} == {
-        "converged": 0, "bfs_corrected": None, "iterations": 7, "residual": 0.25}
+    assert [rows[1][key] for key in ("converged", "bfs_corrected", "iterations",
+                                     "residual")] == [0, None, 7, 0.25]
     assert rows[1]["sampled_mean"] == clean[1]["sampled_mean"]
     out = io.StringIO()
     write_rows_csv(rows, CORRECTION_COLUMNS, out)
@@ -350,7 +349,6 @@ def test_correction_mode_records_a_replica_that_does_not_converge(monkeypatch):
     assert avg["bfs_corrected"] == (clean[0]["bfs_corrected"] + clean[2]["bfs_corrected"]) / 2
     assert avg["sampled_mean"] == clean[3]["sampled_mean"]
     # none converges: the avg row has no corrected mean
-    calls.clear()
     monkeypatch.setattr(experiments, "bfs_correct", fails_on({0, 1, 2}))
     avg = run_correction_eval(cfg)[3]
     assert avg["converged"] == 0 and avg["bfs_corrected"] is None

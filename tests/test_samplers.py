@@ -568,7 +568,8 @@ def test_trace_csv_roundtrip():
     no_counter = buf.getvalue().replace(f" revivals={revived.revivals}", "")
     assert trace_from_csv(io.StringIO(no_counter)).revivals == 0
     # a file that names no technique reads as the empty name, written back as technique=
-    unnamed = trace_from_csv(io.StringIO(no_counter.replace(f"technique={revived.technique} ", "")))
+    unnamed = no_counter.replace(f"technique={revived.technique} ", "")
+    unnamed = trace_from_csv(io.StringIO(unnamed))
     assert unnamed.technique == ""
     buf = io.StringIO()
     trace_to_csv(unnamed, buf)
