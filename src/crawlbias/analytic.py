@@ -86,8 +86,8 @@ def _solve_t(excess: Callable[[float], float], tol: float,
     return t, res, iterations
 
 
-def t_of_f(d: DegreeDistribution, f: float, *, tol: float = 1e-10, max_iter: int = 200) -> float:
-    """Invert f(t) = f to |f(t) - f| <= tol by _solve_t's bisection, which
+def t_of_f(d: DegreeDistribution, f: float, *, max_iter: int = 200) -> float:
+    """Invert f(t) = f to |f(t) - f| <= 1e-10 by _solve_t's bisection, which
     raises ConvergenceError after max_iter evaluations.
 
     f must lie in [0, 1 - p_0]; the inverse exists because f(t) is strictly
@@ -100,7 +100,7 @@ def t_of_f(d: DegreeDistribution, f: float, *, tol: float = 1e-10, max_iter: int
         return 0.0
     if f >= fmax:
         return 1.0
-    return _solve_t(lambda t: f_of_t(d, t) - f, tol, max_iter)[0]
+    return _solve_t(lambda t: f_of_t(d, t) - f, 1e-10, max_iter)[0]
 
 
 def _implied_f(q: DegreeDistribution, t: float) -> float:

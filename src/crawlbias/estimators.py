@@ -73,8 +73,7 @@ def mhrw_correct(trace: SampleTrace) -> EstimationReport:
     return _reweight("mhrw", trace, empirical_q(trace), lambda k: 1.0)
 
 
-def bfs_correct(trace: SampleTrace, f_real: float, *, tol: float = 1e-8,
-                max_iter: int = 500) -> EstimationReport:
+def bfs_correct(trace: SampleTrace, f_real: float, *, max_iter: int = 500) -> EstimationReport:
     """Correct an early traversal sample using its known coverage f_real.
 
     The scan time t is not observable, but it is pinned by consistency: the
@@ -82,9 +81,9 @@ def bfs_correct(trace: SampleTrace, f_real: float, *, tol: float = 1e-8,
     pi_k(t) = 1 - (1-t)^k, must predict the observed coverage, and fed forward
     it predicts f(p_hat(t), t) = 1 / sum_k q_hat_k / pi_k(t). Its residual
     against f_real is negative near t = 0 and equals 1 - f_real at t = 1, so
-    a sign-changing bracket always exists and bisection locates t*
-    (ConvergenceError past max_iter). Records are then weighted by
-    1 / pi_k(t*) and averaged as a ratio estimator.
+    a sign-changing bracket always exists and bisection locates t* to a
+    residual of at most 1e-8 (ConvergenceError past max_iter). Records are
+    then weighted by 1 / pi_k(t*) and averaged as a ratio estimator.
     """
     if trace.with_replacement:
         raise ValueError("coverage-based correction needs a without-replacement trace")
@@ -94,7 +93,7 @@ def bfs_correct(trace: SampleTrace, f_real: float, *, tol: float = 1e-8,
         raise ValueError("zero-degree record cannot be coverage-corrected")
     q_hat = empirical_q(trace)
     t_star, res_star, iterations = _solve_t(lambda t: _implied_f(q_hat, t) - f_real,
-                                            tol, max_iter)
+                                            1e-8, max_iter)
     return _reweight("bfs-corrected", trace, q_hat, lambda k: _inclusion(t_star, k),
                      iterations=iterations, t_value=t_star, residual=res_star)
 

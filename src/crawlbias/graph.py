@@ -52,14 +52,8 @@ class Graph:
     def node_count(self) -> int:
         return len(self.adjacency)
 
-    def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
-
     def degrees(self) -> list[int]:
         return [len(nbrs) for nbrs in self.adjacency]
-
-    def neighbors(self, v: int) -> list[int]:
-        return self.adjacency[v]
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Yield each edge once as (u, v) with u <= v; parallel edges repeat."""

@@ -93,10 +93,6 @@ class StubAssignment:
         if len(set(flat)) != len(flat):
             raise ValueError("stub indices must be pairwise distinct")
 
-    @property
-    def stub_total(self) -> int:
-        return sum(len(row) for row in self.indices)
-
 
 def assign_stub_indices(degrees: Sequence[int], rng: random.Random) -> StubAssignment:
     """Draw one independent uniform index per stub; all indices distinct."""

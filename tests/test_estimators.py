@@ -87,7 +87,7 @@ def test_rw_correct_degree_distribution():
 def test_rw_correct_long_walk_recovers_mean_degree():
     g = _config_graph(DegreeDistribution({2: 0.5, 6: 0.5}), 2000, 3)
     comp = sorted(largest_component_nodes(g))
-    sub_degrees = [g.degree(v) for v in comp]
+    sub_degrees = [len(g.adjacency[v]) for v in comp]
     truth = sum(sub_degrees) / len(sub_degrees)
     trace = random_walk(g, comp[0], 200000, random.Random(4))
     assert rw_correct(trace).mean_degree == pytest.approx(truth, rel=0.02)
@@ -102,7 +102,7 @@ def test_mhrw_correct_plain_mean():
 def test_mhrw_correct_long_run():
     g = _config_graph(DegreeDistribution({2: 0.5, 6: 0.5}), 1000, 9)
     comp = sorted(largest_component_nodes(g))
-    truth = sum(g.degree(v) for v in comp) / len(comp)
+    truth = sum(len(g.adjacency[v]) for v in comp) / len(comp)
     trace = mhrw(g, comp[0], 200000, random.Random(10))
     assert mhrw_correct(trace).mean_degree == pytest.approx(truth, rel=0.02)
 

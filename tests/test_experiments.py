@@ -4,8 +4,11 @@ import csv
 import io
 import json
 import math
+import os
 import random
 import re
+import subprocess
+import sys
 from collections import Counter
 from dataclasses import fields, replace
 from pathlib import Path
@@ -904,6 +907,24 @@ def test_cli_compare_mode(tmp_path):
     methods = [r["method"] for r in
                csv.DictReader(l for l in out.read_text().splitlines() if not l.startswith("#"))]
     assert "arb-half_radius" in methods and "bfs-corrected" in methods
+
+
+@pytest.mark.parametrize("flags", [[], ["-X", "dev", "-W", "error"]])
+def test_cli_exits_quietly_when_its_reader_closes_stdout(flags):
+    # a reader that stops after one line, as head -1 does: the writer's next write
+    # past the pipe buffer fails with EPIPE, which ends the run with exit 0 and
+    # nothing on stderr, also where any warning is an error
+    src = str(Path(cli.__file__).resolve().parents[1])
+    with subprocess.Popen([sys.executable, *flags, "-m", "crawlbias.cli", "generate",
+                           "--pk", "powerlaw:2.5:2:100", "--nodes", "20000", "--rng-seed", "1"],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          env={**os.environ, "PYTHONPATH": src}) as proc:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    assert first.startswith(b"# pk powerlaw:2.5:2:100")
+    assert (code, err) == (0, b"")
 
 
 def test_cli_exit_codes(tmp_path, capsys, monkeypatch):

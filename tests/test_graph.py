@@ -16,17 +16,17 @@ from crawlbias.experiments import ExperimentConfig, GraphSource, TechniqueSpec, 
 
 def test_from_edges_counts_self_loop_twice():
     g = Graph.from_edges(2, [(0, 1), (1, 1)])
-    assert g.degree(0) == 1
-    assert g.degree(1) == 3
+    assert len(g.adjacency[0]) == 1
+    assert len(g.adjacency[1]) == 3
     assert g.edge_count == 2
     assert sum(g.degrees()) == 2 * g.edge_count
 
 
 def test_parallel_edges_kept():
     g = Graph.from_edges(2, [(0, 1), (0, 1)])
-    assert g.degree(0) == 2
+    assert len(g.adjacency[0]) == 2
     assert g.edge_count == 2
-    assert list(g.neighbors(0)) == [1, 1]
+    assert g.adjacency[0] == [1, 1]
 
 
 def test_edges_roundtrip_multigraph():
@@ -97,6 +97,12 @@ def test_assortativity_path4():
 def test_assortativity_regular_undefined():
     g = Graph.from_edges(3, [(0, 1), (1, 2), (2, 0)])
     assert assortativity(g) is None
+    assert assortativity(Graph.from_edges(2, [])) is None  # 0-regular: no edge at all
+
+
+def test_graph_and_distribution_reprs():
+    assert repr(Graph.from_edges(3, [(0, 1), (1, 2)])) == "Graph(n=3, m=2)"
+    assert repr(DegreeDistribution({2: 0.5, 1: 0.5})) == "DegreeDistribution({1: 0.5, 2: 0.5})"
 
 
 def test_ball_on_path():
@@ -151,7 +157,7 @@ def test_load_edge_list_raw_keeps_everything():
     g = load_edge_list(io.StringIO(text), RAW)
     assert g.node_count == 2
     assert g.edge_count == 3
-    assert g.degree(0) == 4  # two parallel + self-loop counted twice
+    assert len(g.adjacency[0]) == 4  # two parallel + self-loop counted twice
 
 
 def test_load_edge_list_largest_component_only():
@@ -369,8 +375,8 @@ def test_assortativity_matches_direct_pearson():
     g = Graph.from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (1, 3), (0, 2)])
     pairs = []
     for u, v in g.edges():
-        pairs.append((g.degree(u), g.degree(v)))
-        pairs.append((g.degree(v), g.degree(u)))
+        pairs.append((len(g.adjacency[u]), len(g.adjacency[v])))
+        pairs.append((len(g.adjacency[v]), len(g.adjacency[u])))
     m = len(pairs)
     mx = sum(a for a, _ in pairs) / m
     my = sum(b for _, b in pairs) / m

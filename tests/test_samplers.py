@@ -47,7 +47,7 @@ def test_bfs_hop_distances_non_decreasing():
     while frontier:
         nxt = []
         for u in frontier:
-            for w in g.neighbors(u):
+            for w in g.adjacency[u]:
                 if w not in dist:
                     dist[w] = dist[u] + 1
                     nxt.append(w)
@@ -61,7 +61,7 @@ def test_dfs_forced_path():
     assert dfs(PATH4, 0, 1).nodes == [0]
     tri = dfs(TRIANGLE, 0, 3)
     assert sorted(tri.nodes) == [0, 1, 2]
-    assert tri.nodes[1] in TRIANGLE.neighbors(tri.nodes[0])
+    assert tri.nodes[1] in TRIANGLE.adjacency[tri.nodes[0]]
 
 
 def test_traversal_traces_have_distinct_nodes_and_coverage():
@@ -73,7 +73,7 @@ def test_traversal_traces_have_distinct_nodes_and_coverage():
         assert len(set(trace.nodes)) == len(trace.nodes) == 120
         assert not trace.with_replacement
         assert trace.coverage == pytest.approx(120 / g.node_count)
-        assert trace.degrees == [g.degree(v) for v in trace.nodes]
+        assert trace.degrees == [len(g.adjacency[v]) for v in trace.nodes]
 
 
 def test_trace_coverage_counts_distinct_nodes():
@@ -96,7 +96,7 @@ def test_every_nonseed_node_touches_an_earlier_node():
                   snowball(g, seed, 80, 3, random.Random(4))):
         seen = {trace.nodes[0]}
         for v in trace.nodes[1:]:
-            assert any(w in seen for w in g.neighbors(v)), trace.technique
+            assert any(w in seen for w in g.adjacency[v]), trace.technique
             seen.add(v)
 
 
@@ -407,7 +407,7 @@ HAND_ASSIGNMENT = StubAssignment(((0.1, 0.9), (0.3, 0.4), (0.2, 0.7)))
 
 
 def test_stub_assignment_validation():
-    assert HAND_ASSIGNMENT.stub_total == 6
+    assert sum(map(len, HAND_ASSIGNMENT.indices)) == 6
     with pytest.raises(ValueError):
         StubAssignment(((0.1, 0.1), (0.2,)))  # duplicate index
     with pytest.raises(ValueError):
@@ -421,6 +421,17 @@ def test_assign_stub_indices_counts():
     flat = [t for per_node in asg.indices for t in per_node]
     assert len(set(flat)) == 3
     assert all(0.0 <= t <= 1.0 for t in flat)
+
+
+def test_assign_stub_indices_redraws_after_a_collision():
+    # the first draw repeats an index, so the whole assignment is drawn again
+    draws = iter([0.5, 0.5, 0.25, 0.75])
+
+    class RepeatingRng:
+        def random(self):
+            return next(draws)
+
+    assert assign_stub_indices([2], RepeatingRng()).indices == ((0.25, 0.75),)
 
 
 def test_min_index_cdf():
