@@ -149,8 +149,9 @@ def exact_step_distribution(degrees: Sequence[int], step: int) -> list[float]:
 
     One pass per draw maps each drawn set to its probability and its stubs
     left, and the last pass adds P(S) * k_v / (z - K(S)) to the law of v. Any
-    draw is covered; the cost is at most about 2^n * n for n nodes. A step past
-    the number of positive-degree nodes is never reached and raises ValueError.
+    draw is covered; the cost is at most about 2^n * n for n nodes. Each draw
+    adds one node, so a step past the number of positive-degree nodes is never
+    reached and raises ValueError; every other step's law has mass 1.
     """
     if step < 1:
         raise ValueError(f"step must be >= 1, got {step!r}")
@@ -159,11 +160,12 @@ def exact_step_distribution(degrees: Sequence[int], step: int) -> list[float]:
     z = sum(degrees)
     if z == 0:
         raise ValueError("degree sequence has no stubs")
+    if step > (positive := sum(k > 0 for k in degrees)):
+        raise ValueError(f"step {step} is not always reachable on this sequence: "
+                         f"it has {positive} positive-degree nodes")
     probs = [0.0] * len(degrees)
     drawn = {0: (1.0, z)}  # drawn set, as a bitmask -> (its probability, its stubs left)
     for draw in range(1, step + 1):
-        if not drawn:  # every positive-degree node is drawn: no later step is reached
-            break
         grown: dict[int, tuple[float, int]] = {}
         for s, (p, rest) in drawn.items():
             for v, k in enumerate(degrees):
@@ -175,15 +177,7 @@ def exact_step_distribution(degrees: Sequence[int], step: int) -> list[float]:
                 else:
                     grown[s | 1 << v] = (grown.get(s | 1 << v, (0.0, 0))[0] + pv, rest - k)
         drawn = grown
-    _check_total(probs, step)
     return probs
-
-
-def _check_total(probs: list[float], step: int) -> None:
-    total = sum(probs)
-    if abs(total - 1.0) > 1e-9:
-        raise ValueError(f"step {step} is not always reachable on this sequence "
-                         f"(mass {total:.6f} < 1)")
 
 
 def curve_rows(d: DegreeDistribution, f_grid: Sequence[float]) -> list[dict[str, object]]:

@@ -24,7 +24,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a small output's EPIPE surfaces here, not at interpreter exit
+        return code
     except ValueError as exc:  # ConfigError and GraphFormatError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -50,9 +52,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", default="-", help="output file, '-' for stdout (default)")
     seeded = argparse.ArgumentParser(add_help=False, parents=[common])
     seeded.add_argument("--rng-seed", type=int, default=0, help="master seed (default 0)")
-    configured = argparse.ArgumentParser(add_help=False, parents=[common])
-    configured.add_argument("--rng-seed", type=int, default=None,
-                            help="master seed (default: the config's seed)")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -92,7 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "--edgelist only")
     p.set_defaults(func=cmd_sample)
 
-    p = sub.add_parser("curves", parents=[configured],
+    p = sub.add_parser("curves", aliases=["compare"], parents=[common],
                        help="run a replicated experiment from a JSON config")
     p.add_argument("--config", required=True)
     p.set_defaults(func=cmd_run)
@@ -106,11 +105,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=list(_METHODS), default=None,
                    help="default: the method of the trace's technique in the table")
     p.set_defaults(func=cmd_correct)
-
-    p = sub.add_parser("compare", parents=[configured],
-                       help="RMSE of neighborhood estimators vs corrected traversal")
-    p.add_argument("--config", required=True)
-    p.set_defaults(func=cmd_run)
 
     return parser
 
@@ -193,16 +187,9 @@ def cmd_sample(args: argparse.Namespace) -> int:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    """curves and compare: run a config under the subcommand its mode names."""
+    """curves, alias compare: run a config in its mode, with its seed."""
     cfg = experiments.load_config(args.config)
     mode = experiments.MODES[cfg.mode]
-    if mode.command != args.command:
-        raise ConfigError(f"mode {cfg.mode!r} runs under the {mode.command} subcommand, "
-                          f"not {args.command}")
-    if args.rng_seed is not None:
-        if "seed" not in mode.reads:
-            raise ConfigError(f"--rng-seed: mode {cfg.mode!r} reads no seed")
-        cfg.seed = args.rng_seed
     rows = mode.run(cfg)
     with _open_out(args.out) as out:
         experiments.write_rows_csv(rows, mode.columns, out, metadata=[cfg.metadata_line()])

@@ -803,7 +803,6 @@ ANALYTIC_COLUMNS = ["f", "t", "mean_q", "q_k_json"]
 
 
 class Mode(NamedTuple):
-    command: str                 # the CLI subcommand that runs the mode
     run: Callable[[ExperimentConfig], list[dict[str, object]]]
     columns: list[str]
     reads: tuple[str, ...]       # the config keys run reads; a nested key is dotted
@@ -814,15 +813,15 @@ class Mode(NamedTuple):
 _REWIRED = "graph.generate.assortativity"
 
 MODES = {
-    "bias": Mode("curves", run_bias_curves, BIAS_COLUMNS,
+    "bias": Mode(run_bias_curves, BIAS_COLUMNS,
                  ("graph", "mode", _REWIRED, "techniques", "f_grid", "replicas", "seed",
                   "workers")),
-    "correction": Mode("curves", run_correction_eval, CORRECTION_COLUMNS,
+    "correction": Mode(run_correction_eval, CORRECTION_COLUMNS,
                        ("graph", "mode", _REWIRED, "f_grid", "replicas", "seed", "workers")),
-    "assortativity": Mode("curves", run_assortativity_sweep, SWEEP_COLUMNS,
+    "assortativity": Mode(run_assortativity_sweep, SWEEP_COLUMNS,
                           ("graph", "mode", "techniques", "f_grid", "replicas", "seed",
                            "workers", "assortativity_targets")),
-    "analytic": Mode("curves", run_analytic, ANALYTIC_COLUMNS, ("graph", "mode", "f_grid")),
-    "compare": Mode("compare", run_compare, COMPARE_COLUMNS,
+    "analytic": Mode(run_analytic, ANALYTIC_COLUMNS, ("graph", "mode", "f_grid")),
+    "compare": Mode(run_compare, COMPARE_COLUMNS,
                     ("graph", "mode", _REWIRED, "replicas", "seed", "depth")),
 }

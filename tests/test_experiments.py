@@ -839,18 +839,29 @@ def test_cli_curves_json_pk_object(tmp_path):
         assert float(row[column]) == pytest.approx(mean_q_of_f(parse_pk_spec(pk), 0.5))
 
 
-def test_cli_rng_seed_zero_overrides_config_seed(tmp_path):
-    doc = {"graph": {"generate": {"pk": "bimodal:2:6:0.5", "nodes": 150}},
-           "techniques": ["bfs"], "f_grid": [0.3], "replicas": 2}
-    outputs = {}
-    for name, seed, flag in (("zero", 0, []), ("five", 5, []),
-                             ("override", 5, ["--rng-seed", "0"])):
-        cfg = tmp_path / f"{name}.json"
-        cfg.write_text(json.dumps({**doc, "seed": seed}))
-        out = tmp_path / f"{name}.csv"
-        assert _run_cli(["curves", "--config", str(cfg), "--out", str(out), *flag]) == 0
-        outputs[name] = [l for l in out.read_text().splitlines() if not l.startswith("#")]
-    assert outputs["override"] == outputs["zero"] != outputs["five"]
+def test_curves_and_compare_are_one_command(tmp_path, capsys):
+    # the config alone decides what runs: both names write the same bytes in every
+    # mode, and neither takes a second seed
+    graph = {"generate": {"pk": "bimodal:2:6:0.5", "nodes": 150}}
+    docs = {"bias": {"techniques": ["bfs", "wwor"], "f_grid": [0.3], "replicas": 2, "seed": 4},
+            "correction": {"f_grid": [0.3], "replicas": 2, "seed": 4},
+            "assortativity": {"techniques": ["bfs"], "f_grid": [0.3], "replicas": 1,
+                              "seed": 4, "assortativity_targets": [0.1]},
+            "analytic": {"f_grid": [0.3]},
+            "compare": {"replicas": 2, "seed": 4, "depth": 2}}
+    for mode, doc in docs.items():
+        cfg = tmp_path / f"{mode}.json"
+        cfg.write_text(json.dumps({"graph": graph, "mode": mode, **doc}))
+        outs = []
+        for command in ("curves", "compare"):
+            outs.append(tmp_path / f"{mode}-{command}.csv")
+            assert _run_cli([command, "--config", str(cfg), "--out", str(outs[-1])]) == 0
+            with pytest.raises(SystemExit) as exit_:
+                _run_cli([command, "--config", str(cfg), "--rng-seed", "0"])
+            assert exit_.value.code == 2
+            assert "unrecognized arguments: --rng-seed" in capsys.readouterr().err
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+        assert outs[0].read_text().startswith("# config {")
 
 
 def test_cli_correction_output_is_worker_invariant(tmp_path):
@@ -909,21 +920,45 @@ def test_cli_compare_mode(tmp_path):
     assert "arb-half_radius" in methods and "bfs-corrected" in methods
 
 
+def _cli_process(flags, argv, stdout):
+    # stdout buffered, as Python's default is: a small output then reaches the
+    # pipe only when the run flushes it
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    return subprocess.Popen([sys.executable, *flags, "-m", "crawlbias.cli", *argv],
+                            stdout=stdout, stderr=subprocess.PIPE,
+                            env={**env, "PYTHONPATH": src})
+
+
 @pytest.mark.parametrize("flags", [[], ["-X", "dev", "-W", "error"]])
 def test_cli_exits_quietly_when_its_reader_closes_stdout(flags):
     # a reader that stops after one line, as head -1 does: the writer's next write
     # past the pipe buffer fails with EPIPE, which ends the run with exit 0 and
     # nothing on stderr, also where any warning is an error
-    src = str(Path(cli.__file__).resolve().parents[1])
-    with subprocess.Popen([sys.executable, *flags, "-m", "crawlbias.cli", "generate",
-                           "--pk", "powerlaw:2.5:2:100", "--nodes", "20000", "--rng-seed", "1"],
-                          stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                          env={**os.environ, "PYTHONPATH": src}) as proc:
+    with _cli_process(flags, ["generate", "--pk", "powerlaw:2.5:2:100", "--nodes", "20000",
+                              "--rng-seed", "1"], subprocess.PIPE) as proc:
         first = proc.stdout.readline()
         proc.stdout.close()
         err = proc.stderr.read()
         code = proc.wait(timeout=60)
     assert first.startswith(b"# pk powerlaw:2.5:2:100")
+    assert (code, err) == (0, b"")
+
+
+@pytest.mark.parametrize("flags", [[], ["-X", "dev", "-W", "error"]])
+def test_cli_exits_quietly_when_stdout_has_no_reader(flags):
+    # a small output, all of it in the buffer when the command returns, written to
+    # a pipe whose reader is already gone: the EPIPE comes from the run's own flush,
+    # and still ends it with exit 0 and nothing on stderr
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        with _cli_process(flags, ["generate", "--pk", "regular:2", "--nodes", "10"],
+                          write_end) as proc:
+            err = proc.stderr.read()
+            code = proc.wait(timeout=60)
+    finally:
+        os.close(write_end)
     assert (code, err) == (0, b"")
 
 
@@ -962,11 +997,6 @@ def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
                                "techniques": ["bfs"], "f_grid": [0.5]}))
     assert _run_cli(["curves", "--config", str(bad)]) == 2
     assert rounds in capsys.readouterr().err
-    # compare runs a compare config only, as curves runs no compare config
-    bad.write_text(json.dumps({"graph": {"generate": {"pk": "regular:3", "nodes": 50}},
-                               "techniques": ["bfs"], "f_grid": [0.5], "mode": "bias"}))
-    assert _run_cli(["compare", "--config", str(bad)]) == 2
-    capsys.readouterr()
     # a malformed JSON pk is named as a bad spec
     assert _run_cli(["generate", "--pk", '{"2": 0.5, "3": ', "--nodes", "5"]) == 2
     assert "bad degree distribution spec" in capsys.readouterr().err
@@ -1037,7 +1067,7 @@ def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
         assert _run_cli(["curves", "--config", str(bad)]) == 2
         assert key in capsys.readouterr().err
     # a config key its mode never reads fails naming the mode and every such key,
-    # sorted; --rng-seed on a mode that draws nothing fails too
+    # sorted; --rng-seed, a second handle on the config's seed, fails too
     for mode, extra, unread in (
             ("analytic", {"depth": 9, "workers": 2, "replicas": 3, "rewire_tolerance": 0.5,
                           "assortativity_targets": [0.2]},
@@ -1058,7 +1088,9 @@ def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
         assert f"mode {mode!r}" in err and ", ".join(map(repr, unread)) in err
     bad.write_text(json.dumps({"graph": {"generate": {"pk": "regular:3", "nodes": 50}},
                                "f_grid": [0.5], "mode": "analytic"}))
-    assert _run_cli(["curves", "--config", str(bad), "--rng-seed", "5"]) == 2
+    with pytest.raises(SystemExit) as exit_:
+        _run_cli(["curves", "--config", str(bad), "--rng-seed", "5"])
+    assert exit_.value.code == 2
     assert "--rng-seed" in capsys.readouterr().err
     # a depth below 1 fails when the config is read, before the graph is loaded
     bad.write_text(json.dumps({"graph": {"file": str(tmp_path / "missing.txt")},
